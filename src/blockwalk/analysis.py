@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .ctqw import StateVector, WalkGenerator, evolve_walk
-from .subspace import SubspaceBasis
 
 __all__ = [
     "AmplificationPoint",

@@ -170,6 +170,28 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _ring_problem(n: int, spec: str) -> tuple:
+    """(target string, target bits, basis, walk generator) for the n-ring."""
+    target = resolve_target(n, spec)
+    z = subspace.str_to_bits(target)
+    basis = subspace.enumerate_subspace(subspace.ring_graph(n))
+    if z not in basis:
+        raise ValidationFailure(
+            f"target {target} is not an independent set of the {n}-ring")
+    return target, z, basis, ctqw.build_generator(basis)
+
+
+def _emulation_summary(full: np.ndarray, basis, z: int) -> dict:
+    """Target population of an emulated state and its blockade leakage."""
+    in_sub = rydberg.project_to_subspace(full, basis)
+    mass = float(np.vdot(in_sub, in_sub).real)
+    return {
+        "success": float(np.abs(in_sub[basis.index_of(z)]) ** 2),
+        "subspace_mass": mass,
+        "leakage": 1.0 - mass,
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -184,12 +206,7 @@ def cmd_enumerate(args) -> int:
 def cmd_prep_product(args) -> int:
     _check_ring(args.ring)
     n = args.ring
-    target = resolve_target(n, args.target)
-    z = subspace.str_to_bits(target)
-    basis = subspace.enumerate_subspace(subspace.ring_graph(n))
-    if z not in basis:
-        raise ValidationFailure(f"target {target} is not an independent set")
-    gen = ctqw.build_generator(basis)
+    target, z, basis, gen = _ring_problem(n, args.target)
     if args.tau0 is not None and args.tau1 is not None:
         success = prep_product.evaluate_product(
             basis, gen, z, args.depth, args.tau0, args.tau1)
@@ -206,12 +223,7 @@ def cmd_prep_product(args) -> int:
 def cmd_prep_bracelet(args) -> int:
     _check_ring(args.ring)
     n = args.ring
-    target = resolve_target(n, args.target)
-    z = subspace.str_to_bits(target)
-    basis = subspace.enumerate_subspace(subspace.ring_graph(n))
-    if z not in basis:
-        raise ValidationFailure(f"target {target} is not an independent set")
-    gen = ctqw.build_generator(basis)
+    target, z, _, gen = _ring_problem(n, args.target)
     orbit = subspace.dihedral_orbit(z, n)
     plan = prep_bracelet.prepare_bracelet(
         gen, orbit, tau_max=args.tau_max, dtau=args.dtau)
@@ -235,23 +247,16 @@ def cmd_compile(args) -> int:
 
 
 def cmd_emulate(args) -> int:
+    if args.shots and not args.shots_out:
+        raise ValidationFailure("--shots requires --shots-out FILE")
     n, target, _, program = _compile_from_args(args)
     full = rydberg.emulate(program, max_step=args.max_step)
     basis = subspace.enumerate_subspace(subspace.ring_graph(n))
-    in_sub = rydberg.project_to_subspace(full, basis)
-    z = subspace.str_to_bits(target)
-    report = {
-        "ring": n,
-        "target": target,
-        "success": float(np.abs(in_sub[basis.index_of(z)]) ** 2),
-        "subspace_mass": float(np.vdot(in_sub, in_sub).real),
-        "leakage": float(1.0 - np.vdot(in_sub, in_sub).real),
-    }
+    report = {"ring": n, "target": target}
+    report.update(_emulation_summary(full, basis, subspace.str_to_bits(target)))
     if args.shots:
         shot_set = rydberg.sample_shots(
             full, n, args.shots, p00=args.p00, p11=args.p11, seed=args.seed)
-        if not args.shots_out:
-            raise ValidationFailure("--shots requires --shots-out FILE")
         rydberg.write_shot_file(args.shots_out, shot_set)
         report["shots_file"] = args.shots_out
         report["shots"] = args.shots
@@ -261,12 +266,7 @@ def cmd_emulate(args) -> int:
 
 def cmd_mitigate(args) -> int:
     shots = rydberg.read_shot_file(args.shots_file)
-    n = shots.n_bits
-    basis = subspace.enumerate_subspace(subspace.ring_graph(n))
-    target = resolve_target(n, args.target)
-    z = subspace.str_to_bits(target)
-    if z not in basis:
-        raise ValidationFailure(f"target {target} is not an independent set")
+    _, z, basis, _ = _ring_problem(shots.n_bits, args.target)
     p00 = args.p00 if args.p00 is not None else shots.p00
     p11 = args.p11 if args.p11 is not None else shots.p11
     channel = mitigation.ReadoutChannel(p00=p00, p11=p11)
@@ -310,12 +310,7 @@ def cmd_analyze(args) -> int:
 def cmd_quench(args) -> int:
     _check_ring(args.ring)
     n = args.ring
-    target = resolve_target(n, args.target)
-    z = subspace.str_to_bits(target)
-    basis = subspace.enumerate_subspace(subspace.ring_graph(n))
-    if z not in basis:
-        raise ValidationFailure(f"target {target} is not an independent set")
-    gen = ctqw.build_generator(basis)
+    _, z, basis, gen = _ring_problem(n, args.target)
     orbit = subspace.dihedral_orbit(z, n)
     taus = np.arange(0.0, args.tau_max + 0.5 * args.dtau, args.dtau)
     tidx = [basis.index_of(z)]
@@ -360,13 +355,7 @@ def _run_instance(task: dict) -> dict:
     n, target_spec, depth = task["ring"], task["target"], task["depth"]
     out: dict = {"ring": n, "target_spec": target_spec, "depth": depth}
     try:
-        target = resolve_target(n, target_spec)
-        z = subspace.str_to_bits(target)
-        basis = subspace.enumerate_subspace(subspace.ring_graph(n))
-        if z not in basis:
-            raise ValidationFailure(
-                f"target {target} is not an independent set of the {n}-ring")
-        gen = ctqw.build_generator(basis)
+        target, z, basis, gen = _ring_problem(n, target_spec)
         out["target"] = target
         out["subspace_size"] = len(basis)
         if cfg["ansatz"] == "product":
@@ -386,10 +375,9 @@ def _run_instance(task: dict) -> dict:
             program = rydberg.compile_program(
                 sched, n, scale=emu["scale"], row_snap=emu["row_snap"])
             full = rydberg.emulate(program, max_step=emu["max_step"])
-            in_sub = rydberg.project_to_subspace(full, basis)
-            out["emulation_success"] = float(
-                np.abs(in_sub[basis.index_of(z)]) ** 2)
-            out["leakage"] = float(1.0 - np.vdot(in_sub, in_sub).real)
+            summary = _emulation_summary(full, basis, z)
+            out["emulation_success"] = summary["success"]
+            out["leakage"] = summary["leakage"]
             if "shots" in cfg["backends"]:
                 seed = cfg["seed"] + task["index"]
                 ch = cfg["channel"]

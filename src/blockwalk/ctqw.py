@@ -158,14 +158,16 @@ def _expm_krylov_step(matvec, v, tau, tol, m_max):
         if (j + 1) % 4 == 0 or j + 1 == m_max:
             ew, evec = eigh_tridiagonal(alpha[: j + 1], beta[:j])
             small = evec @ (np.exp(-1j * tau * ew) * evec[0])
-            err = abs(beta[j - 1] * small[j])
+            # Saad's a posteriori estimate: residual norm times the last
+            # coefficient of the small propagator
+            err = np.linalg.norm(w) * abs(small[j])
             if err < tol:
                 return nrm * (V[: j + 1].T @ small), True
     ew, evec = eigh_tridiagonal(alpha[:m_used], beta[: m_used - 1])
     small = evec @ (np.exp(-1j * tau * ew) * evec[0])
     if m_used < m_max:  # breakdown: result is exact in the invariant subspace
         return nrm * (V[:m_used].T @ small), True
-    err = abs(beta[m_used - 2] * small[m_used - 1])
+    err = np.linalg.norm(w) * abs(small[m_used - 1])
     return nrm * (V[:m_used].T @ small), err < tol
 
 

@@ -1,65 +1,30 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
-
-The numba path is the default. Setting the environment variable
-``BLOCKWALK_NO_NUMBA=1`` before import selects the pure numpy/scipy
-implementations instead (useful for debugging and for benchmarking the
-speedup, see ``benchmarks/bench_kernels.py``).
-"""
+"""Hot numeric kernels in numpy: the sparse matvec of walk propagation, the
+Rydberg Hamiltonian action of pulse emulation, and independent-set
+enumeration."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("BLOCKWALK_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
 
 
 def backend() -> str:
-    """Name of the active kernel backend."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # CSR sparse matrix-vector product (complex), the inner loop of Krylov
 # propagation of the walk generator.
 
-def _csr_matvec_np(indptr, indices, data, x, out):
-    # scipy's CSR matvec is already C; reconstruct lazily would cost more
-    # than a direct segment-sum, so do it with reduceat.
+def csr_matvec(indptr, indices, data, x, out=None):
+    """y = A @ x for a CSR matrix given by (indptr, indices, data)."""
+    if out is None:
+        out = np.empty_like(x)
     prod = data * x[indices]
     seg = np.add.reduceat(np.concatenate((prod, [0.0 + 0.0j])), indptr[:-1])
     seg[np.diff(indptr) == 0] = 0.0
     out[:] = seg
     return out
-
-
-if USE_NUMBA:
-
-    @numba.njit(cache=True, fastmath=False)
-    def _csr_matvec_nb(indptr, indices, data, x, out):  # pragma: no cover
-        n = indptr.shape[0] - 1
-        for i in range(n):
-            acc = 0.0 + 0.0j
-            for jj in range(indptr[i], indptr[i + 1]):
-                acc += data[jj] * x[indices[jj]]
-            out[i] = acc
-        return out
-
-
-def csr_matvec(indptr, indices, data, x, out=None):
-    """y = A @ x for a CSR matrix given by (indptr, indices, data)."""
-    if out is None:
-        out = np.empty_like(x)
-    if USE_NUMBA:
-        return _csr_matvec_nb(indptr, indices, data, x, out)
-    return _csr_matvec_np(indptr, indices, data, x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +33,14 @@ def csr_matvec(indptr, indices, data, x, out=None):
 # detuning terms; the Rabi drive couples b <-> b ^ (1 << i) with amplitude
 # (omega/2) e^{+i phi} on the |g><r| side.
 
-def _rydberg_apply_np(psi, diag, omega, phi, n_atoms, out):
+def rydberg_apply(psi, diag, omega, phi, n_atoms, out=None):
+    """y = H psi for the full-space Rydberg Hamiltonian at one instant."""
+    if out is None:
+        out = np.empty_like(psi)
     out[:] = diag * psi
     if omega == 0.0:
         return out
-    half = 0.5 * omega
-    c = half * np.exp(1j * phi)
+    c = 0.5 * float(omega) * np.exp(1j * float(phi))
     psi_r = psi.reshape((2,) * n_atoms)
     out_r = out.reshape((2,) * n_atoms)
     for i in range(n_atoms):
@@ -88,87 +55,21 @@ def _rydberg_apply_np(psi, diag, omega, phi, n_atoms, out):
     return out
 
 
-if USE_NUMBA:
-
-    @numba.njit(cache=True, fastmath=False)
-    def _rydberg_apply_nb(psi, diag, omega, phi, n_atoms, out):  # pragma: no cover
-        dim = psi.shape[0]
-        half = 0.5 * omega
-        c = half * (np.cos(phi) + 1j * np.sin(phi))
-        cc = np.conj(c)
-        for b in range(dim):
-            acc = diag[b] * psi[b]
-            if omega != 0.0:
-                for i in range(n_atoms):
-                    mask = 1 << i
-                    if b & mask:
-                        acc += cc * psi[b ^ mask]
-                    else:
-                        acc += c * psi[b ^ mask]
-            out[b] = acc
-        return out
-
-
-def rydberg_apply(psi, diag, omega, phi, n_atoms, out=None):
-    """y = H psi for the full-space Rydberg Hamiltonian at one instant."""
-    if out is None:
-        out = np.empty_like(psi)
-    if USE_NUMBA:
-        return _rydberg_apply_nb(psi, diag, float(omega), float(phi), n_atoms, out)
-    return _rydberg_apply_np(psi, diag, float(omega), float(phi), n_atoms, out)
-
-
 # ---------------------------------------------------------------------------
 # Independent-set enumeration by depth-first extension over vertices with
 # neighbour masks; avoids filtering all 2^N strings.
 
-def _enumerate_np(neighbor_masks, n):
+def enumerate_independent_sets(neighbor_masks, n):
+    """All independent-set bitmasks of a graph, ascending integer order."""
+    masks = np.asarray(neighbor_masks, dtype=np.uint64)
     results = []
     stack = [(0, 0)]  # (occupied mask, next vertex to try)
     while stack:
         occ, start = stack.pop()
         results.append(occ)
         for v in range(start, n):
-            if neighbor_masks[v] & occ:
+            if masks[v] & occ:
                 continue
             stack.append((occ | (1 << v), v + 1))
     results.sort()
     return np.asarray(results, dtype=np.uint64)
-
-
-if USE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _enumerate_nb(neighbor_masks, n):  # pragma: no cover
-        # worst case is the full hypercube
-        cap = 1 << n
-        out = np.empty(cap, dtype=np.uint64)
-        stack_occ = np.empty(cap, dtype=np.uint64)
-        stack_start = np.empty(cap, dtype=np.int64)
-        stack_occ[0] = 0
-        stack_start[0] = 0
-        top = 1
-        count = 0
-        while top > 0:
-            top -= 1
-            occ = stack_occ[top]
-            start = stack_start[top]
-            out[count] = occ
-            count += 1
-            for v in range(start, n):
-                if neighbor_masks[v] & occ:
-                    continue
-                stack_occ[top] = occ | (np.uint64(1) << np.uint64(v))
-                stack_start[top] = v + 1
-                top += 1
-        res = out[:count].copy()
-        res.sort()
-        return res
-
-
-def enumerate_independent_sets(neighbor_masks, n):
-    """All independent-set bitmasks of a graph, ascending integer order."""
-    masks = np.asarray(neighbor_masks, dtype=np.uint64)
-    if USE_NUMBA and n > 16:
-        return _enumerate_nb(masks, n)
-    return _enumerate_np(masks, n)

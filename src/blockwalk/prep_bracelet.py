@@ -3,20 +3,18 @@
 The walk from the all-zeros state never leaves the dihedral-symmetric sector,
 so everything here runs in the exponentially smaller orbit basis: scan the
 bare walk for population peaks, fix walk times from the chosen peak, then
-optimize the interleaved Hamming-phasor phases with COBYLA.  A
-frequency-resolution model over the reduced spectrum explains the required
-accumulated walk time.
+optimize the interleaved Hamming-phasor phases with COBYLA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.optimize
 
-from .ctqw import WalkGenerator
+from .ctqw import AnsatzSchedule, WalkGenerator
 from .subspace import (
     DihedralOrbit,
     SubspaceBasis,
@@ -29,7 +27,6 @@ __all__ = [
     "PlanInfeasibleError",
     "PeakScan",
     "BraceletPlan",
-    "SpectralProfile",
     "ReducedWalk",
     "reduced_walk",
     "peak_scan",
@@ -37,13 +34,9 @@ __all__ = [
     "evaluate_bracelet",
     "optimize_bracelet",
     "prepare_bracelet",
-    "spectral_profile",
-    "calibrate_kappa",
-    "bracelet_csv_row",
 ]
 
 TAU_MIN_HW = 0.4
-WEIGHT_THRESHOLD = 1e-8
 COBYLA_RHOBEG = 0.5
 COBYLA_TOL = 1e-6
 
@@ -201,11 +194,9 @@ def _final_overlap(rw: ReducedWalk, t_idx: int, tau: float, gamma: np.ndarray) -
     return float(abs(vec[t_idx]) ** 2)
 
 
-def bracelet_schedule(plan: "BraceletPlan") -> "AnsatzSchedule":
+def bracelet_schedule(plan: BraceletPlan) -> AnsatzSchedule:
     """Alternating schedule for a plan: p+1 equal walk segments interleaved
     with the plan's Hamming-weight phasor angles."""
-    from .ctqw import AnsatzSchedule
-
     return AnsatzSchedule(
         tau0=plan.tau,
         layers=tuple((float(g), plan.tau) for g in plan.gamma),
@@ -308,112 +299,3 @@ def prepare_bracelet(
     if best is None:
         raise PlanInfeasibleError("no feasible peak produced a plan")
     return best
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    target_weights: np.ndarray   # u_r, weight of eigenmode r in target sector
-    tau_eff: float
-    kappa: float
-    delta_min: Optional[float]   # None when no pair is resolvable
-
-    def delta_min_at(self, kappa: float) -> Optional[float]:
-        return _delta_min(self.eigenvalues, self.target_weights,
-                          self.tau_eff, kappa)
-
-
-def _delta_min(
-    evals: np.ndarray, u: np.ndarray, tau_eff: float, kappa: float
-) -> Optional[float]:
-    sel = np.flatnonzero(u > WEIGHT_THRESHOLD)
-    if len(sel) < 2:
-        return None
-    lam = evals[sel]
-    gaps = np.abs(lam[:, None] - lam[None, :])
-    iu = np.triu_indices(len(lam), k=1)
-    gaps = gaps[iu]
-    resolvable = gaps[gaps >= kappa / tau_eff]
-    if resolvable.size == 0:
-        return None
-    return float(resolvable.min())
-
-
-def spectral_profile(
-    gen: WalkGenerator,
-    orbit: DihedralOrbit,
-    kappa: float,
-    tau_eff: float,
-    reduced: Optional[ReducedWalk] = None,
-) -> SpectralProfile:
-    """Eigenmodes of the reduced walk with their target-sector weights.
-
-    u_r sums |<[z]|r>|^2 over orbits in the target's Hamming sector; the
-    resolvable spectral minimum is the smallest gap >= kappa/tau_eff between
-    modes that both carry weight there.
-    """
-    rw = reduced if reduced is not None else reduced_walk(gen)
-    h_star = popcount(orbit.representative)
-    sector = rw.weights == h_star
-    u = np.sum(np.abs(rw.eigenvectors[sector, :]) ** 2, axis=0)
-    return SpectralProfile(
-        eigenvalues=rw.eigenvalues,
-        eigenvectors=rw.eigenvectors,
-        target_weights=u,
-        tau_eff=tau_eff,
-        kappa=kappa,
-        delta_min=_delta_min(rw.eigenvalues, u, tau_eff, kappa),
-    )
-
-
-def calibrate_kappa(
-    instances: Sequence[SpectralProfile],
-    kappa_grid: Optional[np.ndarray] = None,
-    window: int = 5,
-) -> float:
-    """Pick the kappa whose neighborhood gives the most stable linear fit.
-
-    For each kappa, Pearson r of tau_eff against 1/delta_min(kappa) across
-    instances; the returned kappa* is the center of the sliding window
-    maximizing mean(r) - 2*std(r).
-    """
-    if len(instances) < 10:
-        raise ValueError("need at least 10 instances to calibrate kappa")
-    if kappa_grid is None:
-        kappa_grid = np.arange(1.0, 15.0 + 1e-9, 0.1)
-    rs = np.full(len(kappa_grid), np.nan)
-    taus = np.array([p.tau_eff for p in instances])
-    for i, kap in enumerate(kappa_grid):
-        inv = []
-        for prof in instances:
-            dm = prof.delta_min_at(kap)
-            inv.append(np.nan if dm is None else 1.0 / dm)
-        inv = np.array(inv)
-        ok = np.isfinite(inv)
-        if ok.sum() < 3 or np.std(inv[ok]) == 0 or np.std(taus[ok]) == 0:
-            continue
-        rs[i] = np.corrcoef(inv[ok], taus[ok])[0, 1]
-    best_score, best_center = -np.inf, None
-    for i in range(len(kappa_grid) - window + 1):
-        chunk = rs[i : i + window]
-        if np.any(~np.isfinite(chunk)):
-            continue
-        score = np.mean(chunk) - 2.0 * np.std(chunk)
-        if score > best_score:
-            best_score = score
-            best_center = kappa_grid[i + window // 2]
-    if best_center is None:
-        raise ValueError("no kappa window with finite fit statistic")
-    return float(best_center)
-
-
-def bracelet_csv_row(
-    n: int, basis_size: int, orbit_str: str, plan: BraceletPlan
-) -> str:
-    """One CSV line: N, |V|, state, depth, tau_eff, gamma list, P."""
-    gammas = " ".join(f"{g:.3f}" for g in plan.gamma)
-    return (
-        f"{n},{basis_size},[{orbit_str}],{plan.p},{plan.tau_eff:.3f},"
-        f"{gammas},{plan.success:.3f}"
-    )

@@ -33,7 +33,6 @@ __all__ = [
     "analytic_seed",
     "product_schedule",
     "optimize_product",
-    "product_csv_row",
 ]
 
 MAX_EVALS = 500
@@ -201,16 +200,6 @@ def analytic_seed(model: ChainModel, p: int) -> tuple[float, float]:
     return tau0, tau1
 
 
-def _schedule(tau0: float, tau1: float, p: int, n_bits: int, z_star: int) -> AnsatzSchedule:
-    mask = (~z_star) & ((1 << n_bits) - 1)
-    return AnsatzSchedule(
-        tau0=tau0,
-        layers=tuple((np.pi, tau1) for _ in range(p)),
-        phasor_kind="local",
-        target_mask=mask,
-    )
-
-
 def product_schedule(
     tau0: float, tau1: float, p: int, n_bits: int, z_star: int
 ) -> AnsatzSchedule:
@@ -219,7 +208,13 @@ def product_schedule(
     The phasor puts phase pi on every site outside the target string, so the
     target is the unique +1 eigenstate reachable from the all-zeros start.
     """
-    return _schedule(tau0, tau1, p, n_bits, z_star)
+    mask = (~z_star) & ((1 << n_bits) - 1)
+    return AnsatzSchedule(
+        tau0=tau0,
+        layers=tuple((np.pi, tau1) for _ in range(p)),
+        phasor_kind="local",
+        target_mask=mask,
+    )
 
 
 def evaluate_product(
@@ -231,7 +226,7 @@ def evaluate_product(
     tau1: float,
 ) -> float:
     """Success probability of the depth-p pi-phasor schedule at (tau0, tau1)."""
-    sched = _schedule(tau0, tau1, p, basis.n_bits, z_star)
+    sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
     final = run_ansatz(sched, gen)
     return success_probability(final, [basis.index_of(z_star)])
 
@@ -281,14 +276,4 @@ def optimize_product(
         j_eff=j_eff,
         evaluations=int(res.nfev),
         converged=bool(res.success),
-    )
-
-
-def product_csv_row(
-    n: int, basis_size: int, z_star_str: str, result: ProductResult
-) -> str:
-    """One CSV line: N, |V|, state, p, tau0, tau1, J_eff, P."""
-    return (
-        f"{n},{basis_size},{z_star_str},{result.depth},"
-        f"{result.tau0:.3f},{result.tau1:.3f},{result.j_eff:.3f},{result.success:.3f}"
     )

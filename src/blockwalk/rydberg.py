@@ -10,15 +10,15 @@ blockade radius to balance first-order corrections against long-range tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import json
 import numpy as np
 
 from . import kernels
-from .ctqw import AnsatzSchedule, StateVector
-from .subspace import SubspaceBasis, popcount
+from .ctqw import AnsatzSchedule, expm_krylov
+from .subspace import SubspaceBasis
 
 __all__ = [
     "PhysicalConstants",
@@ -33,9 +33,7 @@ __all__ = [
     "synthesize_phase_fragment",
     "compile_program",
     "emulate",
-    "embed_subspace_state",
     "project_to_subspace",
-    "state_fidelity",
     "sample_shots",
     "write_shot_file",
     "read_shot_file",
@@ -397,7 +395,6 @@ def _sample_channel(channel: list, t: float, default: float = 0.0) -> float:
     """Linear interpolation within fragments; 0 between them."""
     if not channel:
         return default
-    val = default
     prev_t, prev_v = None, None
     for ct, cv in channel:
         if ct > t:
@@ -420,39 +417,6 @@ def _phase_at(phase: list, t: float) -> float:
     return val
 
 
-def _lanczos_expm(apply_h, psi: np.ndarray, dt: float, m: int = 24) -> np.ndarray:
-    """exp(-i dt H) psi for Hermitian H given as a matvec."""
-    dim = psi.shape[0]
-    m = min(m, dim)
-    V = np.zeros((m, dim), dtype=complex)
-    alpha = np.zeros(m)
-    beta = np.zeros(m)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        return psi
-    V[0] = psi / nrm
-    k = m
-    for j in range(m):
-        w = apply_h(V[j])
-        if j > 0:
-            w -= beta[j - 1] * V[j - 1]
-        alpha[j] = np.real(np.vdot(V[j], w))
-        w -= alpha[j] * V[j]
-        proj = V[: j + 1].conj() @ w
-        w -= V[: j + 1].T @ proj
-        b = np.linalg.norm(w)
-        if j < m - 1:
-            beta[j] = b
-            if b < 1e-14:
-                k = j + 1
-                break
-            V[j + 1] = w / b
-    T = np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
-    ew, ev = np.linalg.eigh(T)
-    small = ev @ (np.exp(-1j * dt * ew) * ev[0].conj())
-    return nrm * (V[:k].T @ small)
-
-
 def emulate(
     program: RydbergProgram,
     max_step: float = 1e-3,
@@ -463,6 +427,7 @@ def emulate(
     H(t) = sum_i Omega(t)/2 (e^{i phi}|g><r|_i + h.c.) + delta(t) w_i n_i
          + sum_{i<j} C6/r_ij^6 n_i n_j, integrated with a second-order
     midpoint exponential rule at steps of at most ``max_step`` (1 ns default).
+    Each driven step is propagated by the adaptive Krylov ``expm_krylov``.
     """
     n = program.layout.n_atoms
     if n > 14:
@@ -492,7 +457,6 @@ def emulate(
     amp_ch = program.waveform.amplitude
     loc_ch = program.waveform.local_detuning
     ph_ch = program.waveform.phase
-    out = np.empty(dim, dtype=complex)
 
     for a, b in zip(knots[:-1], knots[1:]):
         if b <= a:
@@ -504,37 +468,21 @@ def emulate(
             om = _sample_channel(amp_ch, tm)
             dl = _sample_channel(loc_ch, tm)
             phi = _phase_at(ph_ch, tm)
-            diag = vdw.copy()
-            if local_n is not None and dl != 0.0:
-                diag += dl * local_n
-            if om == 0.0 and dl == 0.0:
-                psi *= np.exp(-1j * dt * vdw)
-                continue
+            diag = vdw if local_n is None or dl == 0.0 else vdw + dl * local_n
             if om == 0.0:
                 psi *= np.exp(-1j * dt * diag)
                 continue
 
             def apply_h(v, om=om, phi=phi, diag=diag):
-                return kernels.rydberg_apply(v, diag, om, phi, n, np.empty_like(v))
+                return kernels.rydberg_apply(v, diag, om, phi, n)
 
-            psi = _lanczos_expm(apply_h, psi, dt)
+            psi = expm_krylov(apply_h, psi, dt)
     return psi
-
-
-def embed_subspace_state(state: StateVector) -> np.ndarray:
-    """Lift a subspace state into the full 2^n register (bit i = atom i)."""
-    full = np.zeros(1 << state.basis.n_bits, dtype=complex)
-    full[state.basis.states] = state.amplitudes
-    return full
 
 
 def project_to_subspace(full: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
     """Amplitudes on the blockade subspace (not renormalized)."""
     return full[basis.states]
-
-
-def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.vdot(a, b)) ** 2)
 
 
 # ---------------------------------------------------------------------------

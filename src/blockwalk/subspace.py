@@ -62,11 +62,6 @@ def ring_graph(n: int) -> ConstraintGraph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def null_graph(n: int) -> ConstraintGraph:
-    """Edgeless graph; every bitstring is valid (hypercube walk)."""
-    return make_graph(n, [])
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Ordered independent-set bitstrings with index lookup."""
@@ -92,9 +87,6 @@ class SubspaceBasis:
 
     def __contains__(self, state: int) -> bool:
         return int(state) in self._index
-
-    def state_str(self, k: int) -> str:
-        return bits_to_str(int(self.states[k]), self.n_bits)
 
     def hamming_weights(self) -> np.ndarray:
         return np.array([popcount(int(s)) for s in self.states])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,20 @@ def test_krylov_matches_dense():
         b = ctqw.evolve_walk(ctqw.StateVector(basis, psi), gen, tau,
                              method="dense").amplitudes
         assert np.linalg.norm(a - b) < 1e-10
+
+
+def test_expm_krylov_matches_expm_small_dims():
+    # dims at or below the Krylov size exercise a space that fills the whole
+    # vector space without breakdown, where the error estimate must vanish
+    for dim in (1, 2, 3, 8):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = 0.5 * (a + a.conj().T)
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for tau in (0.3, 1.7):
+            got = ctqw.expm_krylov(lambda x: h @ x, v, tau)
+            ref = scipy.linalg.expm(-1j * tau * h) @ v
+            assert np.linalg.norm(got - ref) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
