@@ -34,6 +34,8 @@ PARAM_CLIP = 1e-12
 DEFAULT_EPS = 1e-8
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_RESAMPLES = 1000
+# rows x bits x distinct shots per `_em_fit` call of the bootstrap
+_EM_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,51 @@ def _likelihood_matrix(
     return np.exp(logs)
 
 
+def _bit_tables(
+    z: np.ndarray, subspace_states: np.ndarray, channel: ReadoutChannel,
+    n_bits: int,
+) -> tuple:
+    """P(z_j | s_j=1) and P(z_j | s_j=0) per bit and shot, both (N, U), and
+    the Rydberg-bit mask (N, |V|) of the subspace states.
+
+    These depend only on the shots, the subspace and the channel, so one EM
+    run computes them once and reuses them at every likelihood evaluation.
+    Bits run along the first axis so the per-bit parameters broadcast over
+    long rows.
+    """
+    shift = np.arange(n_bits, dtype=np.uint64)[:, None]
+    z_on = ((z.astype(np.uint64)[None, :] >> shift) & np.uint64(1)) == 1
+    p_given1 = np.where(z_on, channel.p11, 1.0 - channel.p11)
+    p_given0 = np.where(z_on, 1.0 - channel.p00, channel.p00)
+    s_on = ((subspace_states.astype(np.uint64)[None, :] >> shift)
+            & np.uint64(1)) == 1
+    return p_given1, p_given0, s_on
+
+
+def _background_from_tables(
+    phi_perp: np.ndarray,
+    p_given1: np.ndarray,
+    p_given0: np.ndarray,
+    s_on: np.ndarray,
+    L_sub: np.ndarray,
+) -> tuple:
+    """`_background_likelihood` on precomputed `_bit_tables`.
+
+    `phi_perp` is (N,) or a stack (R, N); the outputs gain the same leading
+    axis.  Also returns the (..., N, U) factors phi_j P(z_j|1) and
+    phi_j P(z_j|1) + (1 - phi_j) P(z_j|0); their ratio is the posterior
+    probability that bit j of shot z was a Rydberg excitation.
+    """
+    pp = phi_perp[..., :, None]
+    qq = 1.0 - pp
+    on = pp * p_given1
+    per_bit = on + qq * p_given0
+    # in-subspace correction: sum_k P_out(s_k) K(z_i|s_k)
+    p_out = np.where(s_on, pp, qq).prod(axis=-2)           # (..., |V|)
+    l_perp = np.maximum(per_bit.prod(axis=-2) - p_out @ L_sub, 0.0)
+    return l_perp, p_out.sum(axis=-1), on, per_bit
+
+
 def _background_likelihood(
     z: np.ndarray,
     phi_perp: np.ndarray,
@@ -113,21 +160,9 @@ def _background_likelihood(
     that belong to the subspace leaves the complement sum exactly.  Dividing
     by 1 - mass(V) normalizes the background into a proper component density.
     """
-    # per-bit values of z
-    zbits = ((z.astype(np.uint64)[:, None] >> np.arange(n_bits, dtype=np.uint64)[None, :])
-             & np.uint64(1)).astype(np.float64)   # (U, N)
-    # P(z_j | s_j=1) and P(z_j | s_j=0)
-    p_given1 = np.where(zbits == 1.0, channel.p11, 1.0 - channel.p11)
-    p_given0 = np.where(zbits == 1.0, 1.0 - channel.p00, channel.p00)
-    full = np.prod(phi_perp[None, :] * p_given1 + (1.0 - phi_perp)[None, :] * p_given0,
-                   axis=1)                        # (U,)
-    # in-subspace correction: sum_k P_out(s_k) K(z_i|s_k)
-    sbits = ((subspace_states.astype(np.uint64)[:, None]
-              >> np.arange(n_bits, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(float)
-    p_out = np.prod(np.where(sbits == 1.0, phi_perp[None, :], (1.0 - phi_perp)[None, :]),
-                    axis=1)                       # (|V|,)
-    corr = p_out @ L_sub                          # (U,)
-    return np.maximum(full - corr, 0.0), float(p_out.sum())
+    l_perp, mass_v, _, _ = _background_from_tables(
+        phi_perp, *_bit_tables(z, subspace_states, channel, n_bits), L_sub)
+    return l_perp, float(mass_v)
 
 
 @dataclass
@@ -152,6 +187,138 @@ class EMModel:
         return float(sum(self.phi_v[self.basis.index_of(t)] for t in target))
 
 
+def _em_fit(
+    counts: np.ndarray,
+    L: np.ndarray,
+    tables: tuple,
+    prior: tuple,
+    eps: float,
+    max_iter: int,
+    record: bool = False,
+) -> tuple:
+    """Damped EM for R shot histograms over the same U distinct shots.
+
+    `counts` is (R, U) (zero where a histogram lacks a shot), `L` the
+    (|V|, U) likelihood matrix and `tables` the `_bit_tables` of the shots.
+    Every row runs the iteration of `em_reconstruct` on its own: its own
+    step halving, convergence test and iteration count; the rows only share
+    numpy calls.  Returns (phi_v (R, |V|), phi_perp (R, N), iterations (R,),
+    converged (R,), traces), where traces holds each row's
+    (log-likelihood, objective) lists when `record` is set.
+    """
+    p1z, p0z, s_on = tables
+    alpha, beta = prior
+    n = p1z.shape[0]
+    n_rows, n_v = counts.shape[0], L.shape[0]
+    weights = counts.astype(float)
+    total = weights.sum(axis=1)
+
+    def _evaluate(w, pv, pp):
+        l_perp, mass_v, on, per_bit = _background_from_tables(
+            pp, p1z, p0z, s_on, L)
+        bg = l_perp / np.maximum(1.0 - mass_v, PROB_FLOOR)[:, None]
+        pi = np.maximum(1.0 - pv.sum(axis=1), PROB_FLOOR)
+        m = np.maximum(pv @ L + pi[:, None] * bg, PROB_FLOOR)
+        ll = (w * np.log(m)).sum(axis=1)
+        obj = ll + (alpha * np.log(pp) + beta * np.log1p(-pp)).sum(axis=1)
+        # posterior bit expectation by channel inversion, (R, N, U)
+        post1 = on / np.maximum(per_bit, PROB_FLOOR)
+        return [ll, obj, m, bg, pi, post1]
+
+    out_v = np.full((n_rows, n_v), 1.0 / (n_v + 1))
+    out_p = np.full((n_rows, n), 0.5)
+    iterations = np.zeros(n_rows, dtype=int)
+    converged = np.zeros(n_rows, dtype=bool)
+    traces = [([], []) for _ in range(n_rows)] if record else None
+    # the rows still iterating and their state
+    rows = np.arange(n_rows)
+    w, tot, phi_v, phi_perp = weights, total, out_v.copy(), out_p.copy()
+    state = _evaluate(w, phi_v, phi_perp)
+    it = 0
+    for it in range(1, max_iter + 1):
+        ll, obj, m, bg, pi_perp, post1 = state
+        if record:
+            for k, r in enumerate(rows):
+                traces[r][0].append(float(ll[k]))
+                traces[r][1].append(float(obj[k]))
+        # responsibilities rho_ki = phi_k L_ki / m_i, summed over shots
+        new_v = phi_v * ((w / m) @ L.T) / tot[:, None]
+        # penalized mean of the posterior bit expectations
+        w_perp = pi_perp[:, None] * bg / m * w
+        denom = w_perp.sum(axis=1) + alpha + beta
+        new_p = (np.matmul(post1, w_perp[:, :, None])[:, :, 0] + alpha) \
+            / denom[:, None]
+        new_v = np.clip(new_v, PARAM_CLIP, 1.0 - PARAM_CLIP)
+        new_p = np.clip(new_p, PARAM_CLIP, 1.0 - PARAM_CLIP)
+        # damped acceptance: halve a row's step until its objective is not
+        # reduced (the complement renormalization spoils the exact M-step);
+        # rows that never accept keep their parameters
+        cand_v, cand_p, cand = phi_v, phi_perp, state
+        accepted = np.zeros(len(rows), dtype=bool)
+        pending = slice(None)                   # every row, on the full step
+        lam = 1.0
+        for _ in range(40):
+            cv = phi_v[pending] + lam * (new_v[pending] - phi_v[pending])
+            cp = phi_perp[pending] + lam * (new_p[pending] - phi_perp[pending])
+            ev = _evaluate(w[pending], cv, cp)
+            ok = ev[1] >= obj[pending] - 1e-12
+            if isinstance(pending, slice):
+                if ok.all():
+                    cand_v, cand_p, cand = cv, cp, ev
+                    accepted[:] = True
+                    break
+                cand_v, cand_p = phi_v.copy(), phi_perp.copy()
+                cand = [x.copy() for x in state]
+                pending = np.arange(len(rows))
+            got = pending[ok]
+            cand_v[got], cand_p[got] = cv[ok], cp[ok]
+            for x, y in zip(cand, ev):
+                x[got] = y[ok]
+            accepted[got] = True
+            pending = pending[~ok]
+            if len(pending) == 0:
+                break
+            lam *= 0.5
+        # a row with no improving direction is at a stationary point
+        delta = (np.abs(cand_v - phi_v).sum(axis=1)
+                 + np.abs(cand_p - phi_perp).sum(axis=1) / n)
+        done = ~accepted | (delta < eps)
+        phi_v, phi_perp, state = cand_v, cand_p, cand
+        if done.any():
+            fin = rows[done]
+            out_v[fin], out_p[fin] = phi_v[done], phi_perp[done]
+            iterations[fin] = it
+            converged[fin] = True
+            keep = ~done
+            rows, w, tot = rows[keep], w[keep], tot[keep]
+            phi_v, phi_perp = phi_v[keep], phi_perp[keep]
+            state = [x[keep] for x in state]
+            if len(rows) == 0:
+                break
+    # rows that ran out of iterations
+    out_v[rows], out_p[rows] = phi_v, phi_perp
+    iterations[rows] = it
+    return out_v, out_p, iterations, converged, traces
+
+
+def _shot_histogram(shots: ShotSet, basis: SubspaceBasis) -> tuple:
+    """(distinct shots ascending, their counts) after validating the shots."""
+    if len(shots) == 0:
+        raise ValueError("no shots")
+    if shots.n_bits != basis.n_bits:
+        raise ValueError("shot width does not match basis")
+    return np.unique(np.asarray(shots.shots, dtype=np.uint64),
+                     return_counts=True)
+
+
+def _em_inputs(uniq: np.ndarray, basis: SubspaceBasis,
+               channel: ReadoutChannel) -> tuple:
+    """(likelihood matrix (|V|, U), `_bit_tables`) of the distinct shots."""
+    states = np.asarray(basis.states, dtype=np.uint64)
+    return (_likelihood_matrix(uniq, states, basis.n_bits, channel),
+            _bit_tables(uniq, states, channel, basis.n_bits))
+
+
 def em_reconstruct(
     shots: ShotSet,
     basis: SubspaceBasis,
@@ -171,80 +338,14 @@ def em_reconstruct(
     decrease.  `objective` is therefore non-decreasing by construction; the
     raw likelihood trace can still dip by the penalty's pull toward 1/2.
     """
-    if len(shots) == 0:
-        raise ValueError("no shots")
-    if shots.n_bits != basis.n_bits:
-        raise ValueError("shot width does not match basis")
-    n = basis.n_bits
-    alpha, beta = prior
-    uniq, counts = np.unique(np.asarray(shots.shots, dtype=np.uint64),
-                             return_counts=True)
-    weights = counts.astype(float)
-    total = weights.sum()
-    states = np.asarray(basis.states, dtype=np.uint64)
-    L = _likelihood_matrix(uniq, states, n, channel)    # (|V|, U)
-    zbits = ((uniq[:, None] >> np.arange(n, dtype=np.uint64)[None, :])
-             & np.uint64(1)).astype(np.float64)          # (U, N)
-    p1z = np.where(zbits == 1.0, channel.p11, 1.0 - channel.p11)   # P(z_j | T=1)
-    p0z = np.where(zbits == 1.0, 1.0 - channel.p00, channel.p00)   # P(z_j | T=0)
-
-    def _evaluate(pv: np.ndarray, pp: np.ndarray) -> tuple:
-        l_perp, mass_v = _background_likelihood(uniq, pp, states, L,
-                                                channel, n)
-        bg_ = l_perp / max(1.0 - mass_v, PROB_FLOOR)
-        pi_ = max(1.0 - pv.sum(), PROB_FLOOR)
-        m_ = np.maximum(pv @ L + pi_ * bg_, PROB_FLOOR)
-        ll_ = float(weights @ np.log(m_))
-        obj_ = ll_ + float(np.sum(alpha * np.log(pp) + beta * np.log1p(-pp)))
-        return ll_, obj_, m_, bg_, pi_
-
-    phi_v = np.full(len(basis), 1.0 / (len(basis) + 1))
-    phi_perp = np.full(n, 0.5)
-    ll_trace, obj_trace = [], []
-    converged = False
-    it = 0
-    ll, obj, m, bg, pi_perp = _evaluate(phi_v, phi_perp)
-    for it in range(1, max_iter + 1):
-        ll_trace.append(ll)
-        obj_trace.append(obj)
-        rho = (phi_v[:, None] * L) / m[None, :]          # (|V|, U)
-        rho_perp = pi_perp * bg / m                      # (U,)
-        new_phi_v = (rho @ weights) / total
-        # posterior bit expectation by channel inversion, then penalized mean
-        post1 = (phi_perp[None, :] * p1z) / np.maximum(
-            phi_perp[None, :] * p1z + (1.0 - phi_perp)[None, :] * p0z, PROB_FLOOR)
-        w_perp = rho_perp * weights
-        denom = w_perp.sum() + alpha + beta
-        new_phi_perp = (w_perp @ post1 + alpha) / denom
-        new_phi_v = np.clip(new_phi_v, PARAM_CLIP, 1.0 - PARAM_CLIP)
-        new_phi_perp = np.clip(new_phi_perp, PARAM_CLIP, 1.0 - PARAM_CLIP)
-        # damped acceptance: halve the step until the objective is not
-        # reduced (the complement renormalization spoils the exact M-step)
-        lam = 1.0
-        accepted = None
-        for _ in range(40):
-            cand_v = phi_v + lam * (new_phi_v - phi_v)
-            cand_p = phi_perp + lam * (new_phi_perp - phi_perp)
-            cand = _evaluate(cand_v, cand_p)
-            if cand[1] >= obj - 1e-12:
-                accepted = (cand_v, cand_p, cand)
-                break
-            lam *= 0.5
-        if accepted is None:  # no improving direction: at a stationary point
-            converged = True
-            break
-        cand_v, cand_p, cand = accepted
-        delta = (np.abs(cand_v - phi_v).sum()
-                 + np.abs(cand_p - phi_perp).sum() / n)
-        phi_v, phi_perp = cand_v, cand_p
-        ll, obj, m, bg, pi_perp = cand
-        if delta < eps:
-            converged = True
-            break
+    uniq, counts = _shot_histogram(shots, basis)
+    L, tables = _em_inputs(uniq, basis, channel)
+    phi_v, phi_perp, its, conv, traces = _em_fit(
+        counts[None, :], L, tables, prior, eps, max_iter, record=True)
     return EMModel(
-        basis=basis, channel=channel, phi_v=phi_v, phi_perp=phi_perp,
-        prior=prior, log_likelihood=ll_trace, objective=obj_trace,
-        iterations=it, converged=converged,
+        basis=basis, channel=channel, phi_v=phi_v[0], phi_perp=phi_perp[0],
+        prior=prior, log_likelihood=traces[0][0], objective=traces[0][1],
+        iterations=int(its[0]), converged=bool(conv[0]),
     )
 
 
@@ -297,13 +398,22 @@ def bootstrap_ci(
     point_model = em_reconstruct(shots, basis, channel, prior, eps, max_iter)
     point = point_model.target_probability(target)
     arr = np.asarray(shots.shots, dtype=np.uint64)
-    estimates = np.empty(resamples)
+    uniq, _ = _shot_histogram(shots, basis)
+    # a resample is a histogram over the same distinct shots, so all of them
+    # share one likelihood matrix and are fitted together, in row blocks of
+    # bounded size
+    hist = np.zeros((resamples, len(uniq)), dtype=np.int64)
     for r in range(resamples):
         sample = rng.choice(arr, size=len(arr), replace=True)
-        res = ShotSet(n_bits=shots.n_bits, shots=sample,
-                      p00=shots.p00, p11=shots.p11, seed=None)
-        estimates[r] = em_reconstruct(res, basis, channel, prior, eps,
-                                      max_iter).target_probability(target)
+        hist[r] = np.bincount(np.searchsorted(uniq, sample),
+                              minlength=len(uniq))
+    L, tables = _em_inputs(uniq, basis, channel)
+    block = max(1, _EM_BLOCK_ELEMENTS // (basis.n_bits * len(uniq)))
+    phi_v = np.concatenate([
+        _em_fit(hist[i:i + block], L, tables, prior, eps, max_iter)[0]
+        for i in range(0, resamples, block)])
+    tgt = [int(target)] if isinstance(target, (int, np.integer)) else target
+    estimates = sum(phi_v[:, basis.index_of(t)] for t in tgt)
     tail = (1.0 - level) / 2.0
     low = float(np.quantile(estimates, tail))
     high = float(np.quantile(estimates, 1.0 - tail))

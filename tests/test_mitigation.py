@@ -83,6 +83,37 @@ def test_objective_monotone():
         assert model.converged
 
 
+def test_batched_fit_matches_one_fit_per_resample():
+    # bootstrap_ci fits all resamples as rows of one _em_fit call; each row
+    # must follow em_reconstruct on that resample alone: same iteration
+    # count, convergence flag, objective trace and parameters
+    basis = _basis(6)
+    ch = mt.ReadoutChannel(0.95, 0.9)
+    rng = np.random.default_rng(3)
+    full = rng.standard_normal(1 << 6) + 0j      # mass outside the subspace
+    full /= np.linalg.norm(full)
+    shots = ry.sample_shots(full, 6, 400, p00=ch.p00, p11=ch.p11, seed=8)
+    arr = np.asarray(shots.shots, dtype=np.uint64)
+    uniq, _ = mt._shot_histogram(shots, basis)
+    L, tables = mt._em_inputs(uniq, basis, ch)
+    samples = [rng.choice(arr, size=len(arr), replace=True) for _ in range(12)]
+    hist = np.stack([np.bincount(np.searchsorted(uniq, s),
+                                 minlength=len(uniq)) for s in samples])
+    for max_iter in (mt.DEFAULT_MAX_ITER, 5):
+        phi_v, phi_perp, its, conv, traces = mt._em_fit(
+            hist, L, tables, (1.0, 1.0), mt.DEFAULT_EPS, max_iter,
+            record=True)
+        for r, sample in enumerate(samples):
+            one = mt.em_reconstruct(
+                ry.ShotSet(n_bits=6, shots=sample, p00=ch.p00, p11=ch.p11,
+                           seed=None), basis, ch, max_iter=max_iter)
+            assert its[r] == one.iterations
+            assert conv[r] == one.converged
+            assert np.allclose(phi_v[r], one.phi_v, rtol=0, atol=1e-8)
+            assert np.allclose(phi_perp[r], one.phi_perp, rtol=0, atol=1e-8)
+            assert np.allclose(traces[r][1], one.objective, rtol=1e-12, atol=0)
+
+
 def test_reconstruction_beats_raw_frequency():
     # with an asymmetric channel the EM estimate should sit closer to the
     # truth than the uncorrected empirical frequency
