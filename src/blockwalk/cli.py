@@ -363,7 +363,8 @@ def _run_instance(task: dict) -> dict:
             sched = prep_product.product_schedule(
                 res.tau0, res.tau1, depth, n, z)
             out.update(tau0=res.tau0, tau1=res.tau1, j_eff=res.j_eff,
-                       success=res.success)
+                       success=res.success, evaluations=res.evaluations,
+                       converged=res.converged)
         else:
             orbit = subspace.dihedral_orbit(z, n)
             plan = prep_bracelet.prepare_bracelet(gen, orbit)
@@ -486,7 +487,8 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
         },
         "instances": [
             {k: r.get(k) for k in
-             ("ring", "target_spec", "depth", "runtime_s", "error")
+             ("ring", "target_spec", "depth", "runtime_s", "evaluations",
+              "converged", "error")
              if k in r}
             for r in results
         ],

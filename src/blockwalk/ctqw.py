@@ -1,8 +1,10 @@
 """State vectors and unitary evolution over an independent-set basis.
 
-The walk propagator exp(-i tau G) v is computed either from a cached dense
-eigendecomposition (small bases, and always available as a cross-check) or
-by adaptive Lanczos/Krylov iteration with sparse matrix-vector products.
+The walk generator G is a real symmetric 0/1 matrix and is stored as float64.
+The walk propagator exp(-i tau G) v is computed either from G's cached real
+eigendecomposition (small bases, and always available as a cross-check),
+whose real eigenvectors act on the complex state in real arithmetic, or by
+adaptive Lanczos/Krylov iteration with sparse matrix-vector products.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def basis_state(basis: SubspaceBasis, bitstring: int) -> StateVector:
 
 
 class WalkGenerator:
-    """Sparse symmetric adjacency of the Hamming-distance-1 walk graph."""
+    """Sparse real symmetric adjacency of the Hamming-distance-1 walk graph."""
 
     def __init__(self, basis: SubspaceBasis, matrix: sp.csr_matrix):
         self.basis = basis
@@ -72,15 +74,15 @@ class WalkGenerator:
         return self.matrix.toarray()
 
     def eig(self):
-        """Cached dense eigendecomposition (eigenvalues, eigenvectors)."""
+        """Cached real eigendecomposition (eigenvalues, eigenvectors as columns)."""
         if self._eig is None:
             w, v = np.linalg.eigh(self.dense())
             self._eig = (w, v)
         return self._eig
 
 
-def build_generator(basis: SubspaceBasis, weights=None) -> WalkGenerator:
-    """Unit-weight generator over all Hamming-distance-1 pairs in the basis."""
+def build_generator(basis: SubspaceBasis) -> WalkGenerator:
+    """Unit-weight real generator over all Hamming-distance-1 pairs in the basis."""
     edges = walk_edges(basis)
     n = len(basis)
     if edges:
@@ -89,10 +91,7 @@ def build_generator(basis: SubspaceBasis, weights=None) -> WalkGenerator:
     else:
         rows = np.zeros(0, dtype=np.int64)
         cols = np.zeros(0, dtype=np.int64)
-    if weights is None:
-        vals = np.ones(len(edges), dtype=complex)
-    else:
-        vals = np.asarray(weights, dtype=complex)
+    vals = np.ones(len(edges))
     m = sp.coo_matrix(
         (np.concatenate([vals, vals]), (np.concatenate([rows, cols]),
                                         np.concatenate([cols, rows]))),
@@ -123,7 +122,8 @@ def hamming_phasor(basis: SubspaceBasis) -> PhasorDiagonal:
 
 def _expm_dense(gen: WalkGenerator, v: np.ndarray, tau: float) -> np.ndarray:
     w, vecs = gen.eig()
-    return vecs @ (np.exp(-1j * tau * w) * (vecs.conj().T @ v))
+    c = np.exp(-1j * tau * w) * kernels.real_matvec(vecs.T, v)
+    return kernels.real_matvec(vecs, c)
 
 
 def _expm_krylov_step(matvec, v, tau, tol, m_max):
@@ -152,7 +152,8 @@ def _expm_krylov_step(matvec, v, tau, tol, m_max):
         alpha[j] = np.vdot(V[j], w).real
         w = w - alpha[j] * V[j]
         # full reorthogonalization keeps the basis clean at tight tolerances
-        proj = V[: j + 1].conj() @ w
+        # (V w*)* equals V* w without copying the conjugated basis
+        proj = (V[: j + 1] @ w.conj()).conj()
         w = w - V[: j + 1].T @ proj
         m_used = j + 1
         if (j + 1) % 4 == 0 or j + 1 == m_max:

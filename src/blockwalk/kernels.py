@@ -1,10 +1,11 @@
-"""Hot numeric kernels in numpy: the sparse matvec of walk propagation, the
-Rydberg Hamiltonian action of pulse emulation, and independent-set
-enumeration."""
+"""Hot numeric kernels in numpy and scipy: the sparse and dense matvecs of
+walk propagation, the Rydberg Hamiltonian action of pulse emulation, and
+independent-set enumeration."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def backend() -> str:
@@ -13,18 +14,28 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSR sparse matrix-vector product (complex), the inner loop of Krylov
-# propagation of the walk generator.
+# Matrix-vector products of the real symmetric walk generator with complex
+# states: the sparse one is the inner loop of Krylov propagation, the dense
+# one applies eigenvectors in the dense propagator and the product ansatz.
 
 def csr_matvec(indptr, indices, data, x, out=None):
     """y = A @ x for a CSR matrix given by (indptr, indices, data)."""
+    a = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(x)))
+    y = a @ x
     if out is None:
-        out = np.empty_like(x)
-    prod = data * x[indices]
-    seg = np.add.reduceat(np.concatenate((prod, [0.0 + 0.0j])), indptr[:-1])
-    seg[np.diff(indptr) == 0] = 0.0
-    out[:] = seg
+        return y
+    out[:] = y
     return out
+
+
+def real_matvec(a, x):
+    """a @ x for a real matrix and a complex vector, in real arithmetic.
+
+    The complex vector is viewed as a (n, 2) real array, so the product is one
+    real matrix-matrix call and ``a`` is never upcast to complex.
+    """
+    xr = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+    return (a @ xr).view(complex).ravel()
 
 
 # ---------------------------------------------------------------------------

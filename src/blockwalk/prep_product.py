@@ -4,7 +4,9 @@ The walk generator is split by the complement-mask pi-phasor of the target
 string into a part that preserves the phasor's +1 eigenspace and a part that
 couples out of it.  Norms of the two parts acting on the all-zeros state give
 an effective two-parameter chain model whose closed-form optimum seeds a
-Nelder-Mead refinement of the exact success probability.
+Nelder-Mead refinement of the exact success probability.  Each pi-phasor layer
+is the split's sign operator, so on bases small enough for a dense
+decomposition the success probability is evaluated in the walk's eigenbasis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
+from . import kernels
 from .ctqw import (
+    DENSE_CUTOFF,
     AnsatzSchedule,
     WalkGenerator,
     run_ansatz,
@@ -217,6 +221,46 @@ def product_schedule(
     )
 
 
+def _product_success(
+    basis: SubspaceBasis,
+    gen: WalkGenerator,
+    z_star: int,
+    p: int,
+    split: Optional[SubspaceSplit] = None,
+):
+    """Success probability of the depth-p pi-phasor schedule as a function
+    ``success(tau0, tau1)``.
+
+    Every pi-phasor layer is the sign operator S of the split.  On the dense
+    path the schedule runs in the eigenbasis of G = V diag(w) V^T: with
+    M = V^T S V built once, the state's coefficients start as the all-zeros
+    row of V times exp(-i tau0 w), each layer is one real matvec with M
+    followed by exp(-i tau1 w), and the amplitude on the target is its row of
+    V dotted with the coefficients.  Larger bases run the schedule with
+    Krylov steps.
+    """
+    z = basis.index_of(z_star)
+    if gen.dim > DENSE_CUTOFF:
+        def success(tau0: float, tau1: float) -> float:
+            sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
+            return success_probability(run_ansatz(sched, gen), [z])
+        return success
+
+    if split is None:
+        split = split_generator(gen, z_star)
+    w, vecs = gen.eig()
+    m = vecs.T @ (split.signs[:, None] * vecs)
+    start, end = vecs[basis.index_of(0)], vecs[z]
+
+    def success(tau0: float, tau1: float) -> float:
+        c = start * np.exp(-1j * tau0 * w)
+        walk = np.exp(-1j * tau1 * w)
+        for _ in range(p):
+            c = walk * kernels.real_matvec(m, c)
+        return float(abs(end @ c) ** 2)
+    return success
+
+
 def evaluate_product(
     basis: SubspaceBasis,
     gen: WalkGenerator,
@@ -226,9 +270,7 @@ def evaluate_product(
     tau1: float,
 ) -> float:
     """Success probability of the depth-p pi-phasor schedule at (tau0, tau1)."""
-    sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
-    final = run_ansatz(sched, gen)
-    return success_probability(final, [basis.index_of(z_star)])
+    return _product_success(basis, gen, z_star, p)(tau0, tau1)
 
 
 def optimize_product(
@@ -241,14 +283,15 @@ def optimize_product(
     """Locally optimize (tau0, tau1) from the analytic seed with Nelder-Mead."""
     if not 1 <= p <= 5:
         raise ValueError("supported depths are 1..5")
+    split = None
     if seed is None:
         split = split_generator(gen, z_star)
         model = chain_parameters(split)
         seed = analytic_seed(model, p)
+    success = _product_success(basis, gen, z_star, p, split)
 
     def objective(x: np.ndarray) -> float:
-        t0, t1 = abs(x[0]), abs(x[1])
-        return 1.0 - evaluate_product(basis, gen, z_star, p, t0, t1)
+        return 1.0 - success(abs(x[0]), abs(x[1]))
 
     x0 = np.array(seed, dtype=float)
     simplex = np.array([x0, x0 + [SIMPLEX_SCALE, 0.0], x0 + [0.0, SIMPLEX_SCALE]])

@@ -180,6 +180,9 @@ def test_run_pipeline_deterministic(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["failed_instances"] == 0
     assert "config_sha256" in manifest
+    for inst in manifest["instances"]:
+        assert isinstance(inst["evaluations"], int) and inst["evaluations"] > 0
+        assert isinstance(inst["converged"], bool)
     assert (out1 / "fits.json").exists()
 
 

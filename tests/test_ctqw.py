@@ -16,8 +16,12 @@ def _setup(n):
 
 def test_generator_symmetric_hamming_one():
     basis, gen = _setup(7)
+    assert gen.matrix.dtype == np.float64
     m = gen.dense()
     assert np.allclose(m, m.T)
+    w, v = gen.eig()
+    assert w.dtype == np.float64 and v.dtype == np.float64
+    assert np.allclose((v * w) @ v.T, m, atol=1e-12)
     for i in range(len(basis)):
         for j in range(len(basis)):
             d = ss.popcount(int(basis.states[i]) ^ int(basis.states[j]))
@@ -46,6 +50,20 @@ def test_krylov_matches_dense():
         b = ctqw.evolve_walk(ctqw.StateVector(basis, psi), gen, tau,
                              method="dense").amplitudes
         assert np.linalg.norm(a - b) < 1e-10
+
+
+def test_dense_evolution_matches_expm():
+    # the real eigenvectors act on a complex state through a real view
+    for n in (5, 8):
+        basis, gen = _setup(n)
+        g = gen.dense()
+        rng = np.random.default_rng(n)
+        for tau in (0.0, 0.4, 2.3):
+            psi = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+            got = ctqw.evolve_walk(ctqw.StateVector(basis, psi), gen, tau,
+                                   method="dense").amplitudes
+            ref = scipy.linalg.expm(-1j * tau * g) @ psi
+            assert np.linalg.norm(got - ref) < 1e-12
 
 
 def test_expm_krylov_matches_expm_small_dims():

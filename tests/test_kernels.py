@@ -27,6 +27,26 @@ def test_csr_matvec_matches_scipy():
         assert np.allclose(out, ref, atol=1e-12)
 
 
+def test_csr_matvec_real_data_matches_dense_reference():
+    # real generator data with complex states, including empty rows
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 60):
+        m = _random_csr(rng, n=n, density=0.1).tolil()
+        m[0, :] = 0.0
+        m[n // 2, :] = 0.0
+        m = m.tocsr()
+        assert np.any(np.diff(m.indptr) == 0)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = m.toarray() @ x
+        got = kernels.csr_matvec(m.indptr, m.indices, m.data, x)
+        assert got.dtype == complex
+        assert np.allclose(got, ref, atol=1e-12)
+        out = np.full(n, np.nan + 0j)
+        got = kernels.csr_matvec(m.indptr, m.indices, m.data, x, out)
+        assert got is out
+        assert np.allclose(out, ref, atol=1e-12)
+
+
 def _rydberg_apply_reference(psi, diag, omega, phi, n_atoms):
     """Dense reference: H = diag + sum_i (omega/2)(e^{i phi}|g><r|_i + h.c.)."""
     dim = 1 << n_atoms

@@ -57,6 +57,25 @@ def test_chain_beta_plus_is_sqrt_ones():
         assert model.beta_plus == pytest.approx(np.sqrt(target.count("1")))
 
 
+@pytest.mark.parametrize("n", range(5, 11))
+def test_eigenbasis_evaluation_matches_propagation(n):
+    # evaluate_product runs these dense-path rings in the eigenbasis of G;
+    # run_ansatz propagates the same schedule in the subspace basis
+    basis, gen = _setup(n)
+    rng = np.random.default_rng(n)
+    literal = int(rng.choice(basis.states[1:]))
+    for z in (ss.str_to_bits(ss.half_target(n)),
+              ss.str_to_bits(ss.mis_target(n)), literal):
+        for p in range(1, 6):
+            tau0, tau1 = rng.uniform(0.05, 2.0, size=2)
+            got = pp.evaluate_product(basis, gen, z, p, tau0, tau1)
+            sched = pp.product_schedule(tau0, tau1, p, n, z)
+            for method in ("dense", "krylov"):
+                psi = ctqw.run_ansatz(sched, gen, method=method)
+                ref = ctqw.success_probability(psi, [basis.index_of(z)])
+                assert got == pytest.approx(ref, abs=1e-10)
+
+
 @pytest.mark.parametrize("row", _rows(9), ids=lambda r: f"n{r[0]}-{r[2]}-p{r[3]}")
 def test_tabulated_coordinates_reproduce_success(row):
     n, _, target, p, tau0, tau1, _, p_ideal, _ = row
