@@ -345,6 +345,13 @@ def _merged_config(raw: dict) -> dict:
     emu = dict(CONFIG_DEFAULTS["emulation"])
     emu.update(raw.get("emulation", {}))
     cfg["emulation"] = emu
+    if cfg["ansatz"] == "product" and max(cfg["depths"]) > prep_product.MAX_DEPTH:
+        raise ValidationFailure(
+            f"product depths above {prep_product.MAX_DEPTH} are not supported")
+    if ({"rydberg", "shots"} & set(cfg["backends"])
+            and max(cfg["rings"]) > rydberg.MAX_EMULATED_ATOMS):
+        raise ValidationFailure(
+            f"pulse emulation supports rings up to {rydberg.MAX_EMULATED_ATOMS}")
     return cfg
 
 
@@ -370,7 +377,8 @@ def _run_instance(task: dict) -> dict:
             plan = prep_bracelet.prepare_bracelet(gen, orbit)
             sched = prep_bracelet.bracelet_schedule(plan)
             out.update(tau_eff=plan.tau_tot, depth=plan.p,
-                       success=plan.success)
+                       success=plan.success, evaluations=plan.evaluations,
+                       converged=plan.converged)
         if "rydberg" in cfg["backends"] or "shots" in cfg["backends"]:
             emu = cfg["emulation"]
             program = rydberg.compile_program(

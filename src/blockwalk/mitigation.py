@@ -392,11 +392,16 @@ def bootstrap_ci(
     prior: tuple = (1.0, 1.0),
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
+    model: Optional[EMModel] = None,
 ) -> tuple:
-    """Percentile bootstrap over with-replacement shot resamples."""
+    """Percentile bootstrap over with-replacement shot resamples.
+
+    ``model`` is the full-data fit, if the caller already has it.
+    """
     rng = np.random.default_rng(seed)
-    point_model = em_reconstruct(shots, basis, channel, prior, eps, max_iter)
-    point = point_model.target_probability(target)
+    if model is None:
+        model = em_reconstruct(shots, basis, channel, prior, eps, max_iter)
+    point = model.target_probability(target)
     arr = np.asarray(shots.shots, dtype=np.uint64)
     uniq, _ = _shot_histogram(shots, basis)
     # a resample is a histogram over the same distinct shots, so all of them
@@ -433,7 +438,7 @@ def reconstruct_with_ci(
 ) -> ReconstructionResult:
     model = em_reconstruct(shots, basis, channel)
     low, point, high = bootstrap_ci(shots, basis, channel, target,
-                                    resamples, level, seed)
+                                    resamples, level, seed, model=model)
     tgt = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
     return ReconstructionResult(model=model, target=tgt, point=point,
                                 ci_low=low, ci_high=high, resamples=resamples)

@@ -3,13 +3,14 @@
 The walk from the all-zeros state never leaves the dihedral-symmetric sector,
 so everything here runs in the exponentially smaller orbit basis: scan the
 bare walk for population peaks, fix walk times from the chosen peak, then
-optimize the interleaved Hamming-phasor phases with COBYLA.
+optimize the interleaved Hamming-phasor phases with L-BFGS-B on the exact
+gradient of one forward and one adjoint (GRAPE) sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import scipy.optimize
@@ -37,8 +38,13 @@ __all__ = [
 ]
 
 TAU_MIN_HW = 0.4
-COBYLA_RHOBEG = 0.5
-COBYLA_TOL = 1e-6
+START_PHASE = 0.5     # magnitude of the alternating starting phases
+MAX_EVALS = 4000
+# L-BFGS-B stops near round-off, far below SUCCESS_TOL, so prepare_bracelet
+# compares optima rather than stopping points
+FTOL = 1e-15
+GTOL = 1e-10
+SUCCESS_TOL = 1e-9    # a deeper plan must beat the best by more than this
 
 
 class PlanInfeasibleError(ValueError):
@@ -79,9 +85,9 @@ class ReducedWalk:
     def phasor(self, vec: np.ndarray, gamma: float) -> np.ndarray:
         return vec * np.exp(-1j * gamma * self.weights)
 
-    def start_vector(self) -> np.ndarray:
+    def unit_vector(self, index: int) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
-        vec[self.start_index] = 1.0
+        vec[index] = 1.0
         return vec
 
 
@@ -163,6 +169,7 @@ class BraceletPlan:
     gamma: np.ndarray
     success: float = 0.0
     converged: bool = True
+    evaluations: int = 0
 
     @property
     def tau_eff(self) -> float:
@@ -175,7 +182,9 @@ def plan_from_peak(tau_tot: float, tau_min_hw: float = TAU_MIN_HW) -> BraceletPl
 
     Depth p = floor(tau_tot / tau_min_hw) - 2 phases between p+1 equal walk
     segments; the -2 margin absorbs hardware quantization.  Phases start at
-    zero.
+    alternating +-START_PHASE: the success is even in the phases (the walk
+    graph is bipartite), so all-zero phases are a stationary point that a
+    gradient method never leaves.
     """
     p = int(np.floor(tau_tot / tau_min_hw)) - 2
     if p < 2:
@@ -183,15 +192,41 @@ def plan_from_peak(tau_tot: float, tau_min_hw: float = TAU_MIN_HW) -> BraceletPl
             f"tau_tot={tau_tot} too short for a depth >= 2 schedule"
         )
     tau = tau_tot / (p + 1)
-    return BraceletPlan(tau_tot=tau_tot, p=p, tau=tau, gamma=np.zeros(p))
+    gamma = START_PHASE * (-1.0) ** np.arange(p)
+    return BraceletPlan(tau_tot=tau_tot, p=p, tau=tau, gamma=gamma)
 
 
-def _final_overlap(rw: ReducedWalk, t_idx: int, tau: float, gamma: np.ndarray) -> float:
-    vec = rw.evolve(rw.start_vector(), tau)
+def _forward(rw: ReducedWalk, tau: float, gamma: np.ndarray) -> tuple:
+    """The state just before each phasor, and the final state."""
+    before = []
+    vec = rw.evolve(rw.unit_vector(rw.start_index), tau)
     for g in gamma:
-        vec = rw.phasor(vec, g)
-        vec = rw.evolve(vec, tau)
-    return float(abs(vec[t_idx]) ** 2)
+        before.append(vec)
+        vec = rw.evolve(rw.phasor(vec, g), tau)
+    return before, vec
+
+
+def _success_and_gradient(
+    rw: ReducedWalk, t_idx: int, tau: float, gamma: np.ndarray
+) -> tuple:
+    """f = |<t| U P(g_p) U ... P(g_1) U |s>|^2 and its exact gradient.
+
+    U = e^{-i tau G} is complex symmetric, so the bra chi_k = <t| U P_p ... U
+    (everything after phasor k) is built by the same ``evolve`` backwards.
+    With a the final amplitude and phi_k the state before phasor k,
+    df/dg_k = 2 Re(conj(a) chi_k P_k (-i w) phi_k)
+            = 2 Im(conj(a) chi_k P_k w phi_k).
+    """
+    before, final = _forward(rw, tau, gamma)
+    amp = final[t_idx]
+    grad = np.empty(len(gamma))
+    chi = rw.evolve(rw.unit_vector(t_idx), tau)
+    for k in range(len(gamma) - 1, -1, -1):
+        chi = rw.phasor(chi, gamma[k])
+        grad[k] = 2.0 * np.imag(np.conj(amp) * np.sum(rw.weights * chi * before[k]))
+        if k:
+            chi = rw.evolve(chi, tau)
+    return float(abs(amp) ** 2), grad
 
 
 def bracelet_schedule(plan: BraceletPlan) -> AnsatzSchedule:
@@ -212,55 +247,41 @@ def evaluate_bracelet(
 ) -> float:
     """Coherent overlap with the target orbit superposition for this plan."""
     rw = reduced if reduced is not None else reduced_walk(gen)
-    return _final_overlap(rw, rw.orbit_index(orbit), plan.tau, plan.gamma)
+    final = _forward(rw, plan.tau, plan.gamma)[1]
+    return float(abs(final[rw.orbit_index(orbit)]) ** 2)
 
 
 def optimize_bracelet(
     plan: BraceletPlan,
     gen: WalkGenerator,
     orbit: DihedralOrbit,
-    objective: str = "ctqw",
-    rydberg_success: Optional[Callable[[np.ndarray], float]] = None,
     reduced: Optional[ReducedWalk] = None,
-    max_evals: int = 4000,
 ) -> BraceletPlan:
-    """Optimize the phase vector with COBYLA at fixed walk times.
-
-    ``objective="ctqw"`` maximizes the ideal overlap; ``"joint"`` maximizes
-    the mean of the ideal overlap and a caller-supplied hardware-model
-    success probability of the same phase vector.
-    """
-    if objective not in ("ctqw", "joint"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective == "joint" and rydberg_success is None:
-        raise ValueError("joint objective needs a rydberg_success callable")
+    """Maximize the ideal overlap over the phases in [-pi, pi] at fixed walk
+    times, with L-BFGS-B on the adjoint gradient."""
     rw = reduced if reduced is not None else reduced_walk(gen)
     t_idx = rw.orbit_index(orbit)
 
-    def score(gamma: np.ndarray) -> float:
-        p_ctqw = _final_overlap(rw, t_idx, plan.tau, gamma)
-        if objective == "ctqw":
-            return p_ctqw
-        return 0.5 * (p_ctqw + rydberg_success(gamma))
+    def objective(gamma: np.ndarray) -> tuple:
+        f, grad = _success_and_gradient(rw, t_idx, plan.tau, gamma)
+        return 1.0 - f, -grad
 
-    cons = [
-        {"type": "ineq", "fun": lambda g: np.pi - np.max(np.abs(g))},
-    ]
     res = scipy.optimize.minimize(
-        lambda g: -score(g),
+        objective,
         plan.gamma,
-        method="COBYLA",
-        constraints=cons,
-        options={"rhobeg": COBYLA_RHOBEG, "tol": COBYLA_TOL, "maxiter": max_evals},
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-np.pi, np.pi)] * plan.p,
+        options={"maxfun": MAX_EVALS, "ftol": FTOL, "gtol": GTOL},
     )
-    gamma = np.clip(res.x, -np.pi, np.pi)
     return BraceletPlan(
         tau_tot=plan.tau_tot,
         p=plan.p,
         tau=plan.tau,
-        gamma=gamma,
-        success=score(gamma),
+        gamma=res.x,
+        success=1.0 - float(res.fun),
         converged=bool(res.success),
+        evaluations=int(res.nfev),
     )
 
 
@@ -270,32 +291,32 @@ def prepare_bracelet(
     tau_max: float = 20.0,
     dtau: float = 0.02,
     tau_min_hw: float = TAU_MIN_HW,
-    objective: str = "ctqw",
-    rydberg_success: Optional[Callable[[np.ndarray], float]] = None,
 ) -> BraceletPlan:
     """Full protocol: scan peaks, optimize at each from the second onward.
 
     The first peak is skipped (it lies in the translation-invariant sector the
-    Hamming phasor cannot act on); the scan over later peaks stops at the
-    first decrease in optimized success.
+    Hamming phasor cannot act on).  The scan over later peaks stops at the
+    first one whose optimized success does not beat the best so far by more
+    than SUCCESS_TOL, so the shallowest of equally good plans is kept.  The
+    returned plan's ``evaluations`` counts the objective evaluations of every
+    peak optimized, kept or not.
     """
     rw = reduced_walk(gen)
     scan = peak_scan(gen, orbit, tau_max, dtau, reduced=rw)
     if len(scan.peaks) < 2:
         raise PlanInfeasibleError("fewer than two walk-population peaks found")
     best: Optional[BraceletPlan] = None
+    evaluations = 0
     for tau_peak, _pop in scan.peaks[1:]:
         try:
             plan = plan_from_peak(tau_peak, tau_min_hw)
         except PlanInfeasibleError:
             continue
-        plan = optimize_bracelet(
-            plan, gen, orbit, objective=objective,
-            rydberg_success=rydberg_success, reduced=rw,
-        )
-        if best is not None and plan.success < best.success:
+        plan = optimize_bracelet(plan, gen, orbit, reduced=rw)
+        evaluations += plan.evaluations
+        if best is not None and plan.success <= best.success + SUCCESS_TOL:
             break
         best = plan
     if best is None:
         raise PlanInfeasibleError("no feasible peak produced a plan")
-    return best
+    return replace(best, evaluations=evaluations)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 MAX_EVALS = 500
+MAX_DEPTH = 5
 SIMPLEX_SCALE = 0.05
 CONVERGENCE_TOL = 1e-6
 
@@ -281,8 +282,8 @@ def optimize_product(
     seed: Optional[tuple[float, float]] = None,
 ) -> ProductResult:
     """Locally optimize (tau0, tau1) from the analytic seed with Nelder-Mead."""
-    if not 1 <= p <= 5:
-        raise ValueError("supported depths are 1..5")
+    if not 1 <= p <= MAX_DEPTH:
+        raise ValueError(f"supported depths are 1..{MAX_DEPTH}")
     split = None
     if seed is None:
         split = split_generator(gen, z_star)

@@ -43,6 +43,7 @@ __all__ = [
 # documented reference constants for non-ring geometries
 CHAIN_N_B, CHAIN_N_U = 2.0, 2.220
 KINGS_N_B, KINGS_N_U = 2.25, 7.791
+MAX_EMULATED_ATOMS = 14              # dense 2^n state vector
 
 
 @dataclass(frozen=True)
@@ -430,8 +431,9 @@ def emulate(
     Each driven step is propagated by the adaptive Krylov ``expm_krylov``.
     """
     n = program.layout.n_atoms
-    if n > 14:
-        raise ValueError("dense emulation supported for n <= 14")
+    if n > MAX_EMULATED_ATOMS:
+        raise ValueError(
+            f"dense emulation supported for n <= {MAX_EMULATED_ATOMS}")
     dim = 1 << n
     psi = np.zeros(dim, dtype=complex)
     if initial is None:

@@ -186,6 +186,41 @@ def test_run_pipeline_deterministic(tmp_path):
     assert (out1 / "fits.json").exists()
 
 
+def _run_rejected(tmp_path, **overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, **overrides}))
+    out = tmp_path / "o"
+    rc = run(["run", "--config", str(cfg), "--out", str(out)])
+    return rc, out.exists()
+
+
+def test_run_config_rejects_deep_product(tmp_path):
+    # depth limits are known before any instance runs: exit 1, no outputs
+    assert _run_rejected(tmp_path, depths=[1, 6]) == (1, False)
+
+
+@pytest.mark.parametrize("backend", ["rydberg", "shots"])
+def test_run_config_rejects_emulation_above_14_atoms(tmp_path, backend):
+    assert _run_rejected(tmp_path, rings=[5, 15],
+                         backends=["ctqw", backend]) == (1, False)
+
+
+def test_run_bracelet_pipeline_deterministic(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "ansatz": "bracelet"}))
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run(["run", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert run(["run", "--config", str(cfg), "--out", str(out2),
+                "--workers", "2"]) == 0
+    csv1 = (out1 / "results.csv").read_text()
+    assert csv1 == (out2 / "results.csv").read_text()
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["failed_instances"] == 0
+    for inst in manifest["instances"]:
+        assert isinstance(inst["evaluations"], int) and inst["evaluations"] > 0
+        assert inst["converged"] is True
+
+
 def test_missing_config_file(tmp_path):
     assert run(["run", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path / "o")]) == 1

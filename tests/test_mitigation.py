@@ -142,6 +142,24 @@ def test_bootstrap_ci_brackets_point():
     assert 0.0 <= res.ci_low and res.ci_high <= 1.0
 
 
+def test_reconstruct_with_ci_fits_full_data_once(monkeypatch):
+    basis = _basis(5)
+    ch = mt.STANDARD_CHANNEL
+    z = ss.str_to_bits("00101")
+    probs = np.full(len(basis), 0.3 / (len(basis) - 1))
+    probs[basis.index_of(z)] = 0.7
+    shots = _shots_from_probs(basis, probs, 600, ch, seed=4)
+    expected = mt.bootstrap_ci(shots, basis, ch, z, resamples=40, seed=5)
+    fits = []
+    original = mt.em_reconstruct
+    monkeypatch.setattr(mt, "em_reconstruct",
+                        lambda *a, **k: fits.append(1) or original(*a, **k))
+    res = mt.reconstruct_with_ci(shots, basis, ch, z, resamples=40, seed=5)
+    assert len(fits) == 1
+    assert (res.ci_low, res.point, res.ci_high) == expected
+    assert res.point == res.model.target_probability(z)
+
+
 def test_coverage_smoke():
     # small version of the acceptance coverage property: >= 8 of 10 trials
     basis = _basis(6)

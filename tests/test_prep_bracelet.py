@@ -1,4 +1,4 @@
-"""Orbit-superposition planning and golden-row checks."""
+"""Orbit-superposition planning, the adjoint phase gradient and golden-row checks."""
 
 import numpy as np
 import pytest
@@ -98,6 +98,85 @@ def test_prepare_bracelet_end_to_end_small():
     assert sched.phasor_kind == "hamming"
     assert sched.depth == plan.p
     assert sched.total_walk_time() == pytest.approx(plan.tau_tot)
+
+
+def _central_difference(rw, t_idx, tau, gamma, h=1e-5):
+    grad = np.empty(len(gamma))
+    for k in range(len(gamma)):
+        step = np.zeros(len(gamma))
+        step[k] = h
+        hi = pb._success_and_gradient(rw, t_idx, tau, gamma + step)[0]
+        lo = pb._success_and_gradient(rw, t_idx, tau, gamma - step)[0]
+        grad[k] = (hi - lo) / (2 * h)
+    return grad
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_adjoint_gradient_matches_finite_differences(n):
+    basis, gen = _setup(n)
+    rw = pb.reduced_walk(gen)
+    orbit = ss.dihedral_orbit(ss.str_to_bits(ss.half_target(n)), n)
+    t_idx = rw.orbit_index(orbit)
+    rng = np.random.default_rng(n)
+    largest = 0.0
+    for p in (1, 2, 7, 20):
+        tau = rng.uniform(0.2, 0.8)
+        gamma = rng.uniform(-np.pi, np.pi, p)
+        f, grad = pb._success_and_gradient(rw, t_idx, tau, gamma)
+        plan = pb.BraceletPlan(tau_tot=(p + 1) * tau, p=p, tau=tau, gamma=gamma)
+        assert f == pytest.approx(
+            pb.evaluate_bracelet(plan, gen, orbit, reduced=rw), abs=1e-14)
+        np.testing.assert_allclose(
+            grad, _central_difference(rw, t_idx, tau, gamma), rtol=0, atol=1e-7)
+        largest = max(largest, np.abs(grad).max())
+    assert largest > 1e-2
+
+
+def test_gradient_vanishes_at_zero_phases():
+    # the success is even in gamma, so gamma = 0 is stationary: a gradient
+    # method started there would never move, hence the alternating start
+    n = 7
+    basis, gen = _setup(n)
+    rw = pb.reduced_walk(gen)
+    t_idx = rw.orbit_index(ss.dihedral_orbit(ss.str_to_bits(ss.half_target(n)), n))
+    _, grad = pb._success_and_gradient(rw, t_idx, 0.6, np.zeros(9))
+    np.testing.assert_allclose(grad, 0.0, atol=1e-14)
+    start = pb.plan_from_peak(4.0)
+    _, grad = pb._success_and_gradient(rw, t_idx, start.tau, start.gamma)
+    assert np.abs(grad).max() > 1e-3
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_prepare_bracelet_half_targets(n):
+    basis, gen = _setup(n)
+    orbit = ss.dihedral_orbit(ss.str_to_bits(ss.half_target(n)), n)
+    plan = pb.prepare_bracelet(gen, orbit)
+    assert plan.success >= 0.99
+    assert plan.converged
+    assert plan.evaluations > 0
+    assert plan.success == pytest.approx(
+        pb.evaluate_bracelet(plan, gen, orbit), abs=1e-12)
+
+
+def test_equal_successes_keep_shallower_plan(monkeypatch):
+    n = 6
+    basis, gen = _setup(n)
+    orbit = ss.dihedral_orbit(ss.str_to_bits("000101"), n)
+    successes = iter([0.5, 0.9, 0.9 + 0.5 * pb.SUCCESS_TOL, 0.99])
+
+    def fake_optimize(plan, gen, orbit, reduced=None):
+        return pb.BraceletPlan(tau_tot=plan.tau_tot, p=plan.p, tau=plan.tau,
+                               gamma=plan.gamma, success=next(successes),
+                               evaluations=10)
+
+    monkeypatch.setattr(pb, "optimize_bracelet", fake_optimize)
+    plan = pb.prepare_bracelet(gen, orbit)
+    scan = pb.peak_scan(gen, orbit, 20.0, 0.02)
+    feasible = [t for t, _ in scan.peaks[1:] if np.floor(t / pb.TAU_MIN_HW) - 2 >= 2]
+    # the third plan ties the second within SUCCESS_TOL: the scan stops there
+    assert plan.success == 0.9
+    assert plan.tau_tot == feasible[1]
+    assert plan.evaluations == 30
 
 
 def test_gamma_sign_irrelevant_for_ideal_walk():
