@@ -172,6 +172,8 @@ class EMModel:
     phi_v: np.ndarray               # (|V|,)
     phi_perp: np.ndarray            # (N,)
     prior: tuple = (1.0, 1.0)
+    eps: float = DEFAULT_EPS        # convergence threshold of the fit
+    max_iter: int = DEFAULT_MAX_ITER
     log_likelihood: list = field(default_factory=list)
     objective: list = field(default_factory=list)   # likelihood + Beta penalty
     iterations: int = 0
@@ -344,7 +346,8 @@ def em_reconstruct(
         counts[None, :], L, tables, prior, eps, max_iter, record=True)
     return EMModel(
         basis=basis, channel=channel, phi_v=phi_v[0], phi_perp=phi_perp[0],
-        prior=prior, log_likelihood=traces[0][0], objective=traces[0][1],
+        prior=prior, eps=eps, max_iter=max_iter,
+        log_likelihood=traces[0][0], objective=traces[0][1],
         iterations=int(its[0]), converged=bool(conv[0]),
     )
 
@@ -383,24 +386,20 @@ class ReconstructionResult:
 
 def bootstrap_ci(
     shots: ShotSet,
-    basis: SubspaceBasis,
-    channel: ReadoutChannel,
+    model: EMModel,
     target: Union[int, Sequence[int]],
     resamples: int = DEFAULT_RESAMPLES,
     level: float = 0.95,
     seed: Optional[int] = None,
-    prior: tuple = (1.0, 1.0),
-    eps: float = DEFAULT_EPS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    model: Optional[EMModel] = None,
 ) -> tuple:
     """Percentile bootstrap over with-replacement shot resamples.
 
-    ``model`` is the full-data fit, if the caller already has it.
+    ``model`` is the `em_reconstruct` fit of ``shots``: it gives the point
+    estimate, and each resample is fitted with its basis, channel, prior,
+    ``eps`` and ``max_iter``.
     """
     rng = np.random.default_rng(seed)
-    if model is None:
-        model = em_reconstruct(shots, basis, channel, prior, eps, max_iter)
+    basis, channel = model.basis, model.channel
     point = model.target_probability(target)
     arr = np.asarray(shots.shots, dtype=np.uint64)
     uniq, _ = _shot_histogram(shots, basis)
@@ -415,7 +414,8 @@ def bootstrap_ci(
     L, tables = _em_inputs(uniq, basis, channel)
     block = max(1, _EM_BLOCK_ELEMENTS // (basis.n_bits * len(uniq)))
     phi_v = np.concatenate([
-        _em_fit(hist[i:i + block], L, tables, prior, eps, max_iter)[0]
+        _em_fit(hist[i:i + block], L, tables, model.prior, model.eps,
+                model.max_iter)[0]
         for i in range(0, resamples, block)])
     tgt = [int(target)] if isinstance(target, (int, np.integer)) else target
     estimates = sum(phi_v[:, basis.index_of(t)] for t in tgt)
@@ -437,8 +437,8 @@ def reconstruct_with_ci(
     seed: Optional[int] = None,
 ) -> ReconstructionResult:
     model = em_reconstruct(shots, basis, channel)
-    low, point, high = bootstrap_ci(shots, basis, channel, target,
-                                    resamples, level, seed, model=model)
+    low, point, high = bootstrap_ci(shots, model, target, resamples, level,
+                                    seed)
     tgt = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
     return ReconstructionResult(model=model, target=tgt, point=point,
                                 ci_low=low, ci_high=high, resamples=resamples)

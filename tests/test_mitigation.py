@@ -149,7 +149,8 @@ def test_reconstruct_with_ci_fits_full_data_once(monkeypatch):
     probs = np.full(len(basis), 0.3 / (len(basis) - 1))
     probs[basis.index_of(z)] = 0.7
     shots = _shots_from_probs(basis, probs, 600, ch, seed=4)
-    expected = mt.bootstrap_ci(shots, basis, ch, z, resamples=40, seed=5)
+    expected = mt.bootstrap_ci(shots, mt.em_reconstruct(shots, basis, ch), z,
+                               resamples=40, seed=5)
     fits = []
     original = mt.em_reconstruct
     monkeypatch.setattr(mt, "em_reconstruct",
@@ -158,6 +159,35 @@ def test_reconstruct_with_ci_fits_full_data_once(monkeypatch):
     assert len(fits) == 1
     assert (res.ci_low, res.point, res.ci_high) == expected
     assert res.point == res.model.target_probability(z)
+
+
+def test_bootstrap_ci_fits_resamples_with_model_settings():
+    # each resample is fitted with the full-data model's prior, eps and
+    # max_iter, so the interval matches em_reconstruct on the same draws
+    basis = _basis(5)
+    ch = mt.ReadoutChannel(0.95, 0.9)
+    z = ss.str_to_bits("00101")
+    probs = np.full(len(basis), 0.4 / (len(basis) - 1))
+    probs[basis.index_of(z)] = 0.6
+    shots = _shots_from_probs(basis, probs, 300, ch, seed=2)
+    settings = dict(prior=(2.0, 3.0), eps=1e-4, max_iter=5)
+    model = mt.em_reconstruct(shots, basis, ch, **settings)
+    assert (model.prior, model.eps, model.max_iter) == ((2.0, 3.0), 1e-4, 5)
+    low, point, high = mt.bootstrap_ci(shots, model, z, resamples=20,
+                                       level=0.8, seed=7)
+    rng = np.random.default_rng(7)
+    arr = np.asarray(shots.shots, dtype=np.uint64)
+    estimates = [
+        mt.em_reconstruct(
+            ry.ShotSet(n_bits=5, shots=rng.choice(arr, size=len(arr)),
+                       p00=ch.p00, p11=ch.p11, seed=None),
+            basis, ch, **settings).target_probability(z)
+        for _ in range(20)]
+    assert point == model.target_probability(z)
+    assert low == pytest.approx(min(np.quantile(estimates, 0.1), point),
+                                abs=1e-10)
+    assert high == pytest.approx(max(np.quantile(estimates, 0.9), point),
+                                 abs=1e-10)
 
 
 def test_coverage_smoke():

@@ -1,5 +1,7 @@
 """Orbit-superposition planning, the adjoint phase gradient and golden-row checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,10 @@ def test_optimize_improves_or_holds():
     base = pb.evaluate_bracelet(plan0, gen, orbit)
     plan = pb.optimize_bracelet(plan0, gen, orbit)
     assert plan.success >= base - 1e-9
+    # the start is not gamma = 0, so also check against the bare walk
+    bare = pb.evaluate_bracelet(replace(plan0, gamma=np.zeros(plan0.p)),
+                                gen, orbit)
+    assert plan.success >= bare - 1e-9
 
 
 def test_prepare_bracelet_end_to_end_small():
