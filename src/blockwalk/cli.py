@@ -20,6 +20,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__, analysis, ctqw, mitigation, prep_bracelet, prep_product
 from . import rydberg, subspace
@@ -79,6 +81,9 @@ CONFIG_SCHEMA = {
         },
     },
 }
+
+# built once: jsonschema.validate would check the schema itself on every call
+CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 CONFIG_DEFAULTS = {
     "depths": [1],
@@ -330,11 +335,9 @@ def cmd_quench(args) -> int:
 
 
 def _merged_config(raw: dict) -> dict:
-    import jsonschema
-
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = best_match(CONFIG_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ValidationFailure(f"config field {path}: {exc.message}") from exc
     cfg = dict(CONFIG_DEFAULTS)
@@ -387,6 +390,7 @@ def _run_instance(task: dict) -> dict:
             summary = _emulation_summary(full, basis, z)
             out["emulation_success"] = summary["success"]
             out["leakage"] = summary["leakage"]
+            out["warnings"] = list(program.waveform.warnings)
             if "shots" in cfg["backends"]:
                 seed = cfg["seed"] + task["index"]
                 ch = cfg["channel"]
@@ -496,7 +500,7 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
         "instances": [
             {k: r.get(k) for k in
              ("ring", "target_spec", "depth", "runtime_s", "evaluations",
-              "converged", "error")
+              "converged", "leakage", "warnings", "error")
              if k in r}
             for r in results
         ],

@@ -43,26 +43,59 @@ def real_matvec(a, x):
 # when atom i is in the Rydberg state; diag[b] collects interaction and
 # detuning terms; the Rabi drive couples b <-> b ^ (1 << i) with amplitude
 # (omega/2) e^{+i phi} on the |g><r| side.
+#
+# At phi = 0 the drive sum_i X_i is the adjacency A of the n-bit hypercube,
+# which factors over the high hi = n // 2 and low lo = n - hi bits as
+# A = A_hi (x) I + I (x) A_lo.  On the state reshaped to (2^hi, 2^lo) that is
+# A_hi @ psi + psi @ A_lo: two small real matrix products on the real view of
+# the state.  A drive phase is the gauge U = e^{-i phi N} (N the excitation
+# count): H(phi) = U H(0) U^dagger, and U factors over the same split.
+
+MAX_DRIVE_ATOMS = 14
+
+
+def _hypercube(k: int) -> np.ndarray:
+    """Adjacency of the k-bit hypercube: b couples to b ^ (1 << i)."""
+    idx = np.arange(1 << k)
+    a = np.zeros((1 << k, 1 << k))
+    for i in range(k):
+        a[idx, idx ^ (1 << i)] = 1.0
+    return a
+
+
+# drive factors and excitation counts of every half width up to
+# MAX_DRIVE_ATOMS atoms, shared by all calls
+_HALF_WIDTHS = range((MAX_DRIVE_ATOMS + 1) // 2 + 1)
+_HYPERCUBES = tuple(_hypercube(k) for k in _HALF_WIDTHS)
+_WEIGHTS = tuple(np.array([bin(b).count("1") for b in range(1 << k)], float)
+                 for k in _HALF_WIDTHS)
+
 
 def rydberg_apply(psi, diag, omega, phi, n_atoms, out=None):
     """y = H psi for the full-space Rydberg Hamiltonian at one instant."""
+    if n_atoms > MAX_DRIVE_ATOMS:
+        raise ValueError(f"rydberg_apply supports up to {MAX_DRIVE_ATOMS} atoms")
     if out is None:
         out = np.empty_like(psi)
-    out[:] = diag * psi
+    np.multiply(diag, psi, out=out)
     if omega == 0.0:
         return out
-    c = 0.5 * float(omega) * np.exp(1j * float(phi))
-    psi_r = psi.reshape((2,) * n_atoms)
-    out_r = out.reshape((2,) * n_atoms)
-    for i in range(n_atoms):
-        ax = n_atoms - 1 - i
-        lo = [slice(None)] * n_atoms
-        hi = [slice(None)] * n_atoms
-        lo[ax] = 0
-        hi[ax] = 1
-        lo_t, hi_t = tuple(lo), tuple(hi)
-        out_r[lo_t] += c * psi_r[hi_t]
-        out_r[hi_t] += np.conj(c) * psi_r[lo_t]
+    hi = n_atoms // 2
+    lo = n_atoms - hi
+    shape = (1 << hi, 1 << lo)
+    v = np.ascontiguousarray(psi, dtype=complex).reshape(shape)
+    if phi != 0.0:
+        gauge = (np.exp(1j * phi * _WEIGHTS[hi])[:, None]
+                 * np.exp(1j * phi * _WEIGHTS[lo])[None, :])
+        v = v * gauge
+    x = v.view(float).reshape(shape + (2,))
+    y = (_HYPERCUBES[hi] @ x.reshape(shape[0], -1)).reshape(x.shape)
+    y += np.matmul(_HYPERCUBES[lo], x)
+    drive = y.view(complex).reshape(shape)
+    if phi != 0.0:
+        drive *= gauge.conj()
+    drive *= 0.5 * float(omega)
+    out += drive.ravel()
     return out
 
 

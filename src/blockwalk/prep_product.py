@@ -11,6 +11,7 @@ decomposition the success probability is evaluated in the walk's eigenbasis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -237,16 +238,13 @@ def _product_success(
     M = V^T S V built once, the state's coefficients start as the all-zeros
     row of V times exp(-i tau0 w), each layer is one real matvec with M
     followed by exp(-i tau1 w), and the amplitude on the target is its row of
-    V dotted with the coefficients.  Larger bases run the schedule with
-    Krylov steps.
+    V dotted with the coefficients.  Larger bases propagate the schedule with
+    Krylov steps (``evaluate_product``).
     """
-    z = basis.index_of(z_star)
     if gen.dim > DENSE_CUTOFF:
-        def success(tau0: float, tau1: float) -> float:
-            sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
-            return success_probability(run_ansatz(sched, gen), [z])
-        return success
+        return functools.partial(evaluate_product, basis, gen, z_star, p)
 
+    z = basis.index_of(z_star)
     if split is None:
         split = split_generator(gen, z_star)
     w, vecs = gen.eig()
@@ -270,8 +268,14 @@ def evaluate_product(
     tau0: float,
     tau1: float,
 ) -> float:
-    """Success probability of the depth-p pi-phasor schedule at (tau0, tau1)."""
-    return _product_success(basis, gen, z_star, p)(tau0, tau1)
+    """Success probability of the depth-p pi-phasor schedule at (tau0, tau1).
+
+    One evaluation propagates the schedule (dense bases through the
+    generator's cached eigendecomposition); only an optimization, which
+    evaluates many points, pays for the eigenbasis layer matrix M.
+    """
+    sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
+    return success_probability(run_ansatz(sched, gen), [basis.index_of(z_star)])
 
 
 def optimize_product(

@@ -6,6 +6,12 @@ phasors become gated-off triangles on the local detuning channel.  Atoms sit
 on a circle sized so the van der Waals blockade enforces the ring's
 independent-set constraint, with the perturbative prefactor eta shrinking the
 blockade radius to balance first-order corrections against long-range tails.
+
+Emulation integrates the full 2^n state in the frame where the drive phase
+is zero, so phase jumps are diagonal multiplies and every drive action is the
+kernel's real product with the hypercube adjacency, factored over the high
+and low halves of the bits.  Knot intervals where the drive is off or the
+pulse is flat are integrated exactly in one step; ramps use the midpoint rule.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ __all__ = [
 # documented reference constants for non-ring geometries
 CHAIN_N_B, CHAIN_N_U = 2.0, 2.220
 KINGS_N_B, KINGS_N_U = 2.25, 7.791
-MAX_EMULATED_ATOMS = 14              # dense 2^n state vector
+MAX_EMULATED_ATOMS = kernels.MAX_DRIVE_ATOMS  # dense 2^n state vector
 
 
 @dataclass(frozen=True)
@@ -426,9 +432,23 @@ def emulate(
     """Dense 2^n integration of the time-dependent Rydberg Hamiltonian.
 
     H(t) = sum_i Omega(t)/2 (e^{i phi}|g><r|_i + h.c.) + delta(t) w_i n_i
-         + sum_{i<j} C6/r_ij^6 n_i n_j, integrated with a second-order
-    midpoint exponential rule at steps of at most ``max_step`` (1 ns default).
-    Each driven step is propagated by the adaptive Krylov ``expm_krylov``.
+         + sum_{i<j} C6/r_ij^6 n_i n_j.
+
+    The state is carried in the frame where phi = 0: H(phi) = U H(0) U^dagger
+    with U = e^{-i phi N} and N the excitation count, so a drive-phase jump is
+    a diagonal multiply and every drive action is the kernel's real factored
+    hypercube product.  Between consecutive channel knots every channel is
+    linear, and each knot interval is integrated in one of three ways:
+
+    - drive off (Omega = 0): H is diagonal, so one exact exponential of
+      T * V_vdW + (area of the linear delta) * w.n;
+    - Omega and delta both constant (pulse plateaus): H is constant, so one
+      adaptive Krylov ``expm_krylov`` step over the whole interval;
+    - otherwise (ramps): the second-order midpoint exponential rule at steps
+      of at most ``max_step`` (1 ns default), each step by ``expm_krylov``.
+
+    The midpoint rule is exact on the first two kinds, so all three agree
+    with midpoint stepping to rounding; only the ramps carry its step error.
     """
     n = program.layout.n_atoms
     if n > MAX_EMULATED_ATOMS:
@@ -448,8 +468,20 @@ def emulate(
     for i in range(n):
         for j in range(i + 1, n):
             vdw += (c6 / dist[i, j] ** 6) * bits[:, i] * bits[:, j]
+    excitations = bits.sum(axis=1)
     weights = program.waveform.local_weights
     local_n = bits @ weights if weights is not None else None
+
+    def diagonal(dl):
+        return vdw if local_n is None or dl == 0.0 else vdw + dl * local_n
+
+    def propagate(v, om, dl, dt):
+        diag = diagonal(dl)
+
+        def apply_h(x):
+            return kernels.rydberg_apply(x, diag, om, 0.0, n)
+
+        return expm_krylov(apply_h, v, dt)
 
     # integration breakpoints: all channel knots, then sub-divide to max_step
     knots = sorted({0.0, program.duration}
@@ -460,25 +492,33 @@ def emulate(
     loc_ch = program.waveform.local_detuning
     ph_ch = program.waveform.phase
 
+    frame_phi = 0.0  # psi holds e^{i frame_phi N} times the lab-frame state
     for a, b in zip(knots[:-1], knots[1:]):
         if b <= a:
             continue
         steps = max(1, int(np.ceil((b - a) / max_step)))
         dt = (b - a) / steps
-        for s in range(steps):
-            tm = a + (s + 0.5) * dt
-            om = _sample_channel(amp_ch, tm)
-            dl = _sample_channel(loc_ch, tm)
-            phi = _phase_at(ph_ch, tm)
-            diag = vdw if local_n is None or dl == 0.0 else vdw + dl * local_n
-            if om == 0.0:
-                psi *= np.exp(-1j * dt * diag)
-                continue
-
-            def apply_h(v, om=om, phi=phi, diag=diag):
-                return kernels.rydberg_apply(v, diag, om, phi, n)
-
-            psi = expm_krylov(apply_h, psi, dt)
+        first, last = a + 0.5 * dt, a + (steps - 0.5) * dt
+        phi = _phase_at(ph_ch, first)
+        if phi != frame_phi:
+            psi *= np.exp(1j * (phi - frame_phi) * excitations)
+            frame_phi = phi
+        # channels are linear on the interval: equal values at the first and
+        # last step midpoints mean the channel is constant on it
+        om0, om1 = _sample_channel(amp_ch, first), _sample_channel(amp_ch, last)
+        dl0, dl1 = _sample_channel(loc_ch, first), _sample_channel(loc_ch, last)
+        if om0 == 0.0 and om1 == 0.0:
+            # the mean of a linear delta times the length is its exact area
+            psi *= np.exp(-1j * (b - a) * diagonal(0.5 * (dl0 + dl1)))
+        elif om0 == om1 and dl0 == dl1:
+            psi = propagate(psi, om0, dl0, b - a)
+        else:
+            for s in range(steps):
+                tm = a + (s + 0.5) * dt
+                psi = propagate(psi, _sample_channel(amp_ch, tm),
+                                _sample_channel(loc_ch, tm), dt)
+    if frame_phi != 0.0:
+        psi *= np.exp(-1j * frame_phi * excitations)
     return psi
 
 

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, outputs, round-trips, determinism."""
 
+import importlib
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from blockwalk import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(argv):
@@ -184,6 +189,66 @@ def test_run_pipeline_deterministic(tmp_path):
         assert isinstance(inst["evaluations"], int) and inst["evaluations"] > 0
         assert isinstance(inst["converged"], bool)
     assert (out1 / "fits.json").exists()
+
+
+def test_config_schema_is_valid():
+    # the validator is built once without checking the schema itself
+    cli.CONFIG_VALIDATOR.check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_run_manifest_records_emulation_diagnostics(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "rings": [5, 6],
+                               "backends": ["ctqw", "rydberg"],
+                               "emulation": {"scale": 0.8}}))
+    out = tmp_path / "o"
+    assert run(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = (out / "results.csv").read_text().splitlines()
+    col = rows[0].split(",").index("leakage")
+    for inst, row in zip(manifest["instances"], rows[1:]):
+        assert inst["leakage"] == pytest.approx(float(row.split(",")[col]),
+                                                abs=1e-12)
+        assert 0.0 <= inst["leakage"] < 0.1
+        # every product pi-phase layer needs two local triangles
+        assert len(inst["warnings"]) == 1
+        assert "split into 2 triangles" in inst["warnings"][0]
+    # walk-only instances carry no emulation diagnostics
+    cfg.write_text(json.dumps(CONFIG))
+    assert run(["run", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 0
+    walk_only = json.loads((tmp_path / "o2" / "manifest.json").read_text())
+    for inst in walk_only["instances"]:
+        assert "leakage" not in inst and "warnings" not in inst
+
+
+def test_tracer_keeps_rydberg_kernel_leaf_live(tmp_path, monkeypatch):
+    # perfbench wraps kernels.rydberg_apply by name; emulate must keep
+    # calling it there for the pulse-emulation layer metrics to read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    spill = tmp_path / "spans"
+    spill.mkdir()
+    tracer = tracing.Tracer(str(spill))
+    calls = []
+    tracing.install(tracer)
+    try:
+        with tracer.root("benchmark.sweep"):
+            for j, (raw, workers) in enumerate(workloads.sweep_configs(
+                    "pulse-emulation", 1, 0, tiny=True)):
+                t0 = time.perf_counter()
+                manifest = cli.run_config(raw, str(tmp_path / f"c{j}"),
+                                          workers=workers)
+                calls.append({"manifest": manifest, "workers": workers,
+                              "wall_s": time.perf_counter() - t0})
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.collect(), calls, 1)
+    assert metrics["rydberg.emulate_calls"] == len(calls) == 1
+    assert metrics["rydberg.emulate_s"] > 0.0
+    assert metrics["kernels.rydberg_apply_calls"] > 0
+    assert metrics["kernels.rydberg_apply_s"] > 0.0
+    assert metrics["kernels.rydberg_apply_bytes"] > 0.0
 
 
 def _run_rejected(tmp_path, **overrides):

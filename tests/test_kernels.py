@@ -1,6 +1,7 @@
 """Public numpy kernels against scipy, dense and brute-force oracles."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from blockwalk import kernels, subspace as ss
@@ -61,16 +62,30 @@ def _rydberg_apply_reference(psi, diag, omega, phi, n_atoms):
 
 
 def test_rydberg_apply_matches_dense_reference():
+    # odd and even atom counts split the drive unevenly and evenly over the
+    # high and low bits; phi = 0 takes the gauge-free path
     rng = np.random.default_rng(9)
-    n_atoms = 5
-    dim = 1 << n_atoms
-    for _ in range(3):
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        diag = rng.normal(size=dim)
-        omega, phi = rng.uniform(0, 15.8), rng.uniform(-np.pi, np.pi)
-        out = kernels.rydberg_apply(psi, diag, omega, phi, n_atoms)
-        ref = _rydberg_apply_reference(psi, diag, omega, phi, n_atoms)
-        assert np.allclose(out, ref, atol=1e-12)
+    for n_atoms in range(1, 8):
+        dim = 1 << n_atoms
+        for phi in (0.0, rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            diag = rng.normal(size=dim)
+            omega = rng.uniform(0, 15.8)
+            ref = _rydberg_apply_reference(psi, diag, omega, phi, n_atoms)
+            out = kernels.rydberg_apply(psi, diag, omega, phi, n_atoms)
+            assert np.allclose(out, ref, atol=1e-12)
+            buf = np.full(dim, np.nan + 0j)
+            got = kernels.rydberg_apply(psi, diag, omega, phi, n_atoms, out=buf)
+            assert got is buf
+            assert np.allclose(buf, ref, atol=1e-12)
+        # the drive off leaves the diagonal alone
+        got = kernels.rydberg_apply(psi, diag, 0.0, phi, n_atoms)
+        assert np.allclose(got, diag * psi, atol=0.0)
+    # the drive factors are tabulated up to MAX_DRIVE_ATOMS
+    n_big = kernels.MAX_DRIVE_ATOMS + 1
+    with pytest.raises(ValueError):
+        kernels.rydberg_apply(np.zeros(1 << n_big, complex),
+                              np.zeros(1 << n_big), 1.0, 0.0, n_big)
 
 
 def _independent_sets_bruteforce(neighbor_masks, n):

@@ -59,8 +59,8 @@ def test_chain_beta_plus_is_sqrt_ones():
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_eigenbasis_evaluation_matches_propagation(n):
-    # evaluate_product runs these dense-path rings in the eigenbasis of G;
-    # run_ansatz propagates the same schedule in the subspace basis
+    # the optimizer's objective runs these dense-path rings in the eigenbasis
+    # of G; run_ansatz propagates the same schedule in the subspace basis
     basis, gen = _setup(n)
     rng = np.random.default_rng(n)
     literal = int(rng.choice(basis.states[1:]))
@@ -68,7 +68,7 @@ def test_eigenbasis_evaluation_matches_propagation(n):
               ss.str_to_bits(ss.mis_target(n)), literal):
         for p in range(1, 6):
             tau0, tau1 = rng.uniform(0.05, 2.0, size=2)
-            got = pp.evaluate_product(basis, gen, z, p, tau0, tau1)
+            got = pp._product_success(basis, gen, z, p)(tau0, tau1)
             sched = pp.product_schedule(tau0, tau1, p, n, z)
             for method in ("dense", "krylov"):
                 psi = ctqw.run_ansatz(sched, gen, method=method)

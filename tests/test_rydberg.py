@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blockwalk import ctqw, rydberg as ry, subspace as ss
+from blockwalk import ctqw, prep_product as pp, rydberg as ry, subspace as ss
 
 C = ry.PhysicalConstants()
 
@@ -247,6 +247,78 @@ def test_emulate_matches_dense_midpoint_steps():
             ref = scipy.linalg.expm(-1j * dt * hamiltonian(om, dl, phi)) @ ref
     assert np.linalg.norm(psi - ref) < 1e-10
     assert abs(psi[1]) > 0.05  # the drive moved population
+
+
+def _dense_midpoint_oracle(prog, max_step):
+    """The midpoint rule on a compiled program, each step by dense expm."""
+    n = prog.layout.n_atoms
+    dim = 1 << n
+    wf = prog.waveform
+    bits = (np.arange(dim)[:, None] >> np.arange(n)) & 1
+    dist = prog.layout.pair_distances()
+    vdw = sum(C.c6 / dist[i, j] ** 6 * bits[:, i] * bits[:, j]
+              for i in range(n) for j in range(i + 1, n))
+    local_n = (bits @ wf.local_weights if wf.local_weights is not None
+               else np.zeros(dim))
+    lower = np.zeros((dim, dim))  # sum_i |g><r|_i
+    for b in range(dim):
+        for i in range(n):
+            if not (b >> i) & 1:
+                lower[b, b | (1 << i)] = 1.0
+    amp_t, amp_v = zip(*wf.amplitude)
+    loc = list(zip(*wf.local_detuning)) or [(0.0,), (0.0,)]
+    ph_t, ph_v = zip(*wf.phase)
+    ref = np.zeros(dim, dtype=complex)
+    ref[0] = 1.0
+    knots = sorted({0.0, prog.duration}
+                   | {t for t, _ in wf.amplitude + wf.local_detuning + wf.phase})
+    for a, b in zip(knots[:-1], knots[1:]):
+        if b <= a:
+            continue
+        steps = max(1, int(np.ceil((b - a) / max_step)))
+        dt = (b - a) / steps
+        for s in range(steps):
+            tm = a + (s + 0.5) * dt
+            om = np.interp(tm, amp_t, amp_v, left=0.0, right=0.0)
+            dl = np.interp(tm, *loc, left=0.0, right=0.0)
+            phi = ph_v[np.searchsorted(ph_t, tm, side="right") - 1]
+            drive = 0.5 * om * np.exp(1j * phi) * lower
+            h = np.diag(vdw + dl * local_n) + drive + drive.conj().T
+            ref = scipy.linalg.expm(-1j * dt * h) @ ref
+    return ref
+
+
+def test_emulate_compiled_product_program_matches_dense_midpoint_oracle():
+    # both walks are long enough for full-amplitude plateaus (tau > 0.79),
+    # taken as one step each, and the pi-phase layer is drive-off local
+    # triangles, taken as one diagonal exponential per knot interval
+    n, max_step = 6, 5e-3
+    z = ss.str_to_bits(ss.half_target(n))
+    prog = ry.compile_program(pp.product_schedule(0.95, 0.85, 1, n, z), n,
+                              scale=0.8)
+    amp = prog.waveform.amplitude
+    plateaus = [(t0, t1) for (t0, v0), (t1, v1) in zip(amp[:-1], amp[1:])
+                if v0 == v1 > 0 and t1 > t0]
+    assert len(plateaus) == 2
+    assert prog.waveform.local_detuning
+    psi = ry.emulate(prog, max_step=max_step)
+    ref = _dense_midpoint_oracle(prog, max_step)
+    assert np.linalg.norm(psi - ref) < 1e-10
+    assert abs(psi[0]) < 0.99  # the drive moved population
+
+
+def test_emulate_hamming_phase_jumps_match_dense_midpoint_oracle():
+    # three drive-phase jumps, each a diagonal multiply in the phi = 0 frame
+    n, max_step = 5, 5e-3
+    sched = ctqw.AnsatzSchedule(
+        tau0=0.45, layers=((0.9, 0.5), (-1.3, 0.85), (2.2, 0.3)),
+        phasor_kind="hamming")
+    prog = ry.compile_program(sched, n, scale=0.8)
+    assert len({v for _, v in prog.waveform.phase}) == 4
+    psi = ry.emulate(prog, max_step=max_step)
+    ref = _dense_midpoint_oracle(prog, max_step)
+    assert np.linalg.norm(psi - ref) < 1e-10
+    assert abs(psi[0]) < 0.99
 
 
 def test_single_pulse_leakage_guard_compressed():
