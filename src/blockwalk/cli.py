@@ -355,6 +355,13 @@ def _merged_config(raw: dict) -> dict:
             and max(cfg["rings"]) > rydberg.MAX_EMULATED_ATOMS):
         raise ValidationFailure(
             f"pulse emulation supports rings up to {rydberg.MAX_EMULATED_ATOMS}")
+    for n in cfg["rings"]:
+        for spec in cfg["targets"]:
+            target = resolve_target(n, spec)
+            z = subspace.str_to_bits(target)
+            if z & subspace.rotate_bits(z, n, 1):
+                raise ValidationFailure(
+                    f"target {target} is not an independent set of the {n}-ring")
     return cfg
 
 
@@ -403,8 +410,6 @@ def _run_instance(task: dict) -> dict:
                     resamples=200, seed=seed)
                 out.update(em_estimate=rec.point, em_ci_low=rec.ci_low,
                            em_ci_high=rec.ci_high, shots_seed=seed)
-    except ValidationFailure:
-        raise
     except Exception as exc:  # isolate per-instance failures
         out["error"] = f"{type(exc).__name__}: {exc}"
     out["runtime_s"] = round(time.perf_counter() - t_start, 3)

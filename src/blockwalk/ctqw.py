@@ -19,7 +19,8 @@ from . import kernels
 from .subspace import SubspaceBasis, popcount, walk_edges
 
 DENSE_CUTOFF = 2048
-NORM_TOL = 1e-10
+KRYLOV_DIM = 60        # Lanczos vectors per Krylov step at most
+KRYLOV_SPLITS = 30     # step halvings before Krylov propagation gives up
 
 
 class BasisMismatchError(ValueError):
@@ -31,14 +32,8 @@ class StateVector:
     basis: SubspaceBasis
     amplitudes: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def zero_state(basis: SubspaceBasis) -> StateVector:
@@ -66,9 +61,9 @@ class WalkGenerator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def matvec(self, x: np.ndarray, out=None) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         m = self.matrix
-        return kernels.csr_matvec(m.indptr, m.indices, m.data, x, out)
+        return kernels.csr_matvec(m.indptr, m.indices, m.data, x)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -126,13 +121,13 @@ def _expm_dense(gen: WalkGenerator, v: np.ndarray, tau: float) -> np.ndarray:
     return kernels.real_matvec(vecs, c)
 
 
-def _expm_krylov_step(matvec, v, tau, tol, m_max):
+def _expm_krylov_step(matvec, v, tau, tol):
     """One Lanczos approximation of exp(-i tau A) v; returns (result, ok)."""
     nrm = np.linalg.norm(v)
     if nrm == 0.0 or tau == 0.0:
         return v.copy(), True
     dim = v.shape[0]
-    m_max = min(m_max, dim)
+    m_max = min(KRYLOV_DIM, dim)
     V = np.empty((m_max, dim), dtype=complex)
     alpha = np.empty(m_max)
     beta = np.empty(m_max)
@@ -172,15 +167,15 @@ def _expm_krylov_step(matvec, v, tau, tol, m_max):
     return nrm * (V[:m_used].T @ small), err < tol
 
 
-def expm_krylov(matvec, v, tau, tol=1e-10, m_max=60, max_splits=30):
+def expm_krylov(matvec, v, tau, tol=1e-10):
     """exp(-i tau A) v for Hermitian A, with adaptive time splitting."""
     n_sub = 1
-    for _ in range(max_splits):
+    for _ in range(KRYLOV_SPLITS):
         dt = tau / n_sub
         out = v
         ok = True
         for _ in range(n_sub):
-            out, ok = _expm_krylov_step(matvec, out, dt, tol / n_sub, m_max)
+            out, ok = _expm_krylov_step(matvec, out, dt, tol / n_sub)
             if not ok:
                 break
         if ok:

@@ -18,14 +18,10 @@ def backend() -> str:
 # states: the sparse one is the inner loop of Krylov propagation, the dense
 # one applies eigenvectors in the dense propagator and the product ansatz.
 
-def csr_matvec(indptr, indices, data, x, out=None):
+def csr_matvec(indptr, indices, data, x):
     """y = A @ x for a CSR matrix given by (indptr, indices, data)."""
     a = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(x)))
-    y = a @ x
-    if out is None:
-        return y
-    out[:] = y
-    return out
+    return a @ x
 
 
 def real_matvec(a, x):
@@ -42,14 +38,16 @@ def real_matvec(a, x):
 # Dense 2^n Rydberg Hamiltonian action.  Basis index b has bit i equal to 1
 # when atom i is in the Rydberg state; diag[b] collects interaction and
 # detuning terms; the Rabi drive couples b <-> b ^ (1 << i) with amplitude
-# (omega/2) e^{+i phi} on the |g><r| side.
+# omega/2.
 #
-# At phi = 0 the drive sum_i X_i is the adjacency A of the n-bit hypercube,
-# which factors over the high hi = n // 2 and low lo = n - hi bits as
-# A = A_hi (x) I + I (x) A_lo.  On the state reshaped to (2^hi, 2^lo) that is
-# A_hi @ psi + psi @ A_lo: two small real matrix products on the real view of
-# the state.  A drive phase is the gauge U = e^{-i phi N} (N the excitation
-# count): H(phi) = U H(0) U^dagger, and U factors over the same split.
+# The drive phase is always zero here: a phase phi is the gauge
+# U = e^{-i phi N} (N the excitation count), H(phi) = U H(0) U^dagger, and
+# rydberg.emulate carries its state in the frame where phi = 0, so a phase
+# jump is a diagonal multiply there.  The drive sum_i X_i is then the
+# adjacency A of the n-bit hypercube, which factors over the high
+# hi = n // 2 and low lo = n - hi bits as A = A_hi (x) I + I (x) A_lo.  On
+# the state reshaped to (2^hi, 2^lo) that is A_hi @ psi + psi @ A_lo: two
+# small real matrix products on the real view of the state.
 
 MAX_DRIVE_ATOMS = 14
 
@@ -63,39 +61,35 @@ def _hypercube(k: int) -> np.ndarray:
     return a
 
 
-# drive factors and excitation counts of every half width up to
-# MAX_DRIVE_ATOMS atoms, shared by all calls
-_HALF_WIDTHS = range((MAX_DRIVE_ATOMS + 1) // 2 + 1)
-_HYPERCUBES = tuple(_hypercube(k) for k in _HALF_WIDTHS)
-_WEIGHTS = tuple(np.array([bin(b).count("1") for b in range(1 << k)], float)
-                 for k in _HALF_WIDTHS)
+# drive factors of every half width up to MAX_DRIVE_ATOMS atoms, shared by
+# all calls
+_HYPERCUBES = tuple(_hypercube(k)
+                    for k in range((MAX_DRIVE_ATOMS + 1) // 2 + 1))
 
 
-def rydberg_apply(psi, diag, omega, phi, n_atoms, out=None):
-    """y = H psi for the full-space Rydberg Hamiltonian at one instant."""
+def rydberg_apply(psi, diag, omega, phi, n_atoms):
+    """y = H psi for the full-space Rydberg Hamiltonian at one instant.
+
+    Only the drive phase phi = 0 is supported; any other value raises
+    ValueError.  ``phi`` stays the fourth argument so the call keeps the
+    Hamiltonian's full parameter list (perfbench's cost model reads it).
+    """
     if n_atoms > MAX_DRIVE_ATOMS:
         raise ValueError(f"rydberg_apply supports up to {MAX_DRIVE_ATOMS} atoms")
-    if out is None:
-        out = np.empty_like(psi)
-    np.multiply(diag, psi, out=out)
+    if phi != 0.0:
+        raise ValueError("rydberg_apply takes the phi = 0 frame only")
+    out = diag * psi
     if omega == 0.0:
         return out
     hi = n_atoms // 2
     lo = n_atoms - hi
     shape = (1 << hi, 1 << lo)
-    v = np.ascontiguousarray(psi, dtype=complex).reshape(shape)
-    if phi != 0.0:
-        gauge = (np.exp(1j * phi * _WEIGHTS[hi])[:, None]
-                 * np.exp(1j * phi * _WEIGHTS[lo])[None, :])
-        v = v * gauge
-    x = v.view(float).reshape(shape + (2,))
+    x = np.ascontiguousarray(psi, dtype=complex).view(float)
+    x = x.reshape(shape + (2,))
     y = (_HYPERCUBES[hi] @ x.reshape(shape[0], -1)).reshape(x.shape)
     y += np.matmul(_HYPERCUBES[lo], x)
-    drive = y.view(complex).reshape(shape)
-    if phi != 0.0:
-        drive *= gauge.conj()
-    drive *= 0.5 * float(omega)
-    out += drive.ravel()
+    y *= 0.5 * float(omega)
+    out += y.view(complex).ravel()
     return out
 
 

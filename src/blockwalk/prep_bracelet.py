@@ -177,16 +177,16 @@ class BraceletPlan:
         return (self.p + 1) * self.tau
 
 
-def plan_from_peak(tau_tot: float, tau_min_hw: float = TAU_MIN_HW) -> BraceletPlan:
+def plan_from_peak(tau_tot: float) -> BraceletPlan:
     """Fix depth and per-segment walk time from a chosen total walk time.
 
-    Depth p = floor(tau_tot / tau_min_hw) - 2 phases between p+1 equal walk
+    Depth p = floor(tau_tot / TAU_MIN_HW) - 2 phases between p+1 equal walk
     segments; the -2 margin absorbs hardware quantization.  Phases start at
     alternating +-START_PHASE: the success is even in the phases (the walk
     graph is bipartite), so all-zero phases are a stationary point that a
     gradient method never leaves.
     """
-    p = int(np.floor(tau_tot / tau_min_hw)) - 2
+    p = int(np.floor(tau_tot / TAU_MIN_HW)) - 2
     if p < 2:
         raise PlanInfeasibleError(
             f"tau_tot={tau_tot} too short for a depth >= 2 schedule"
@@ -290,7 +290,6 @@ def prepare_bracelet(
     orbit: DihedralOrbit,
     tau_max: float = 20.0,
     dtau: float = 0.02,
-    tau_min_hw: float = TAU_MIN_HW,
 ) -> BraceletPlan:
     """Full protocol: scan peaks, optimize at each from the second onward.
 
@@ -309,7 +308,7 @@ def prepare_bracelet(
     evaluations = 0
     for tau_peak, _pop in scan.peaks[1:]:
         try:
-            plan = plan_from_peak(tau_peak, tau_min_hw)
+            plan = plan_from_peak(tau_peak)
         except PlanInfeasibleError:
             continue
         plan = optimize_bracelet(plan, gen, orbit, reduced=rw)

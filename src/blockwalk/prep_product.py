@@ -283,16 +283,12 @@ def optimize_product(
     gen: WalkGenerator,
     z_star: int,
     p: int,
-    seed: Optional[tuple[float, float]] = None,
 ) -> ProductResult:
     """Locally optimize (tau0, tau1) from the analytic seed with Nelder-Mead."""
     if not 1 <= p <= MAX_DEPTH:
         raise ValueError(f"supported depths are 1..{MAX_DEPTH}")
-    split = None
-    if seed is None:
-        split = split_generator(gen, z_star)
-        model = chain_parameters(split)
-        seed = analytic_seed(model, p)
+    split = split_generator(gen, z_star)
+    seed = analytic_seed(chain_parameters(split), p)
     success = _product_success(basis, gen, z_star, p, split)
 
     def objective(x: np.ndarray) -> float:

@@ -36,7 +36,7 @@ __all__ = [
     "compute_eta",
     "ring_layout",
     "synthesize_walk_pulse",
-    "synthesize_phase_fragment",
+    "synthesize_local_pulse",
     "compile_program",
     "emulate",
     "project_to_subspace",
@@ -105,8 +105,6 @@ def compute_eta(
     kind: str = "ring",
     n: Optional[int] = None,
     constants: PhysicalConstants = PhysicalConstants(),
-    omega: Optional[float] = None,
-    r_max_over_r_min: Optional[float] = None,
 ) -> tuple[float, float]:
     """(eta, ||H_err||/N) for a supported geometry.
 
@@ -128,8 +126,7 @@ def compute_eta(
         eta = (n_b / (4.0 * n_u)) ** (1.0 / 24.0)
     else:
         raise ValueError(f"unknown geometry kind {kind!r}")
-    om = constants.omega_max if omega is None else omega
-    err = np.sqrt(n_b * n_u) * om**2 * ratio**6
+    err = np.sqrt(n_b * n_u) * constants.omega_max**2 * ratio**6
     return float(eta), float(err)
 
 
@@ -201,11 +198,6 @@ class Waveform:
     local_weights: Optional[np.ndarray] = None
     warnings: list = field(default_factory=list)
 
-    @property
-    def duration(self) -> float:
-        ts = [t for t, _ in self.amplitude + self.local_detuning]
-        return max(ts) if ts else 0.0
-
 
 # pulse regimes: boundary where the fixed 0.10 us triangle hits the cap
 _TRIANGLE_DUR = 0.10
@@ -253,35 +245,21 @@ def synthesize_walk_pulse(
 _LOCAL_PULSE_DUR = 0.10
 
 
-def synthesize_phase_fragment(
-    kind: str,
-    value,
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> dict:
-    """Phase fragment: a drive-phase step, or gated-off local triangles.
+def synthesize_local_pulse(
+    phi, constants: PhysicalConstants = PhysicalConstants()
+) -> tuple[list, Optional[np.ndarray], list]:
+    """Gated-off local-detuning triangles imprinting the per-site phases phi.
 
-    ``global-jump``: zero-duration step of the Rabi phase by -gamma.
-    ``local-pulse``: ``value`` is the per-site phase vector; the shared
-    triangle carries the maximum phase as area and per-site weights scale it.
-    Areas beyond cap*0.025 us split into repeated triangles (flagged).
+    Returns (triangles, weights, warnings).  The shared triangle carries the
+    maximum phase as area and the per-site weights in [0, 1] scale it; areas
+    beyond cap*0.05 us (a 0.10 us triangle at the cap) split into repeated
+    triangles, with a warning.  All-zero phases need no pulse.
     """
-    if kind == "global-jump":
-        gamma = float(value)
-        if abs(gamma) > 2.0 * np.pi:
-            raise ValueError("phase jump exceeds 2*pi")
-        if gamma == 0.0:
-            return {"kind": "global-jump", "step": 0.0, "duration": 0.0,
-                    "triangles": [], "weights": None, "warnings": []}
-        return {"kind": "global-jump", "step": -gamma, "duration": 0.0,
-                "triangles": [], "weights": None, "warnings": []}
-    if kind != "local-pulse":
-        raise ValueError(f"unknown phase fragment kind {kind!r}")
-    phi = np.asarray(value, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     phi_max = float(np.max(np.abs(phi)))
     warnings = []
     if phi_max == 0.0:
-        return {"kind": "local-pulse", "step": 0.0, "duration": 0.0,
-                "triangles": [], "weights": None, "warnings": []}
+        return [], None, []
     weights = np.abs(phi) / phi_max
     sign = 1.0 if phi.flat[np.argmax(np.abs(phi))] >= 0 else -1.0
     if np.any(np.sign(phi[np.abs(phi) > 0]) != sign):
@@ -297,14 +275,7 @@ def synthesize_phase_fragment(
     area_each = sign * phi_max / n_pulses
     peak = 2.0 * area_each / _LOCAL_PULSE_DUR
     tri = [(0.0, 0.0), (_LOCAL_PULSE_DUR / 2.0, peak), (_LOCAL_PULSE_DUR, 0.0)]
-    return {
-        "kind": "local-pulse",
-        "step": 0.0,
-        "duration": n_pulses * _LOCAL_PULSE_DUR,
-        "triangles": [tri] * n_pulses,
-        "weights": weights,
-        "warnings": warnings,
-    }
+    return [tri] * n_pulses, weights, warnings
 
 
 @dataclass
@@ -352,22 +323,23 @@ def compile_program(
             pts, _ = synthesize_walk_pulse(val, constants)
             _append_shifted(wf.amplitude, pts, t)
             t += pts[-1][0]
+        elif schedule.phasor_kind == "hamming":
+            # a zero-duration step of the Rabi phase by -gamma
+            if abs(val) > 2.0 * np.pi:
+                raise ValueError("phase jump exceeds 2*pi")
+            phase_now -= float(val)
+            wf.phase.append((t, phase_now))
         else:
-            if schedule.phasor_kind == "hamming":
-                frag = synthesize_phase_fragment("global-jump", val, constants)
-                phase_now += frag["step"]
-                wf.phase.append((t, phase_now))
-            else:
-                mask = schedule.target_mask
-                phi = np.array([val if (mask >> i) & 1 else 0.0 for i in range(n)])
-                frag = synthesize_phase_fragment("local-pulse", phi, constants)
-                wf.warnings.extend(frag["warnings"])
-                if wf.local_weights is None:
-                    wf.local_weights = frag["weights"]
-                for tri in frag["triangles"]:
-                    wf.local_detuning.append((t, 0.0))
-                    _append_shifted(wf.local_detuning, tri[1:], t)
-                    t += tri[-1][0]
+            mask = schedule.target_mask
+            phi = np.array([val if (mask >> i) & 1 else 0.0 for i in range(n)])
+            triangles, weights, warnings = synthesize_local_pulse(phi, constants)
+            wf.warnings.extend(warnings)
+            if wf.local_weights is None:
+                wf.local_weights = weights
+            for tri in triangles:
+                wf.local_detuning.append((t, 0.0))
+                _append_shifted(wf.local_detuning, tri[1:], t)
+                t += tri[-1][0]
     duration = t
     # single fixed-point pass: recompute geometry at the drive-on average of Omega
     omega_avg = _drive_on_average(wf.amplitude)
@@ -380,10 +352,9 @@ def compile_program(
     )
 
 
-def _drive_on_average(amplitude: list) -> float:
-    """Time-average of Omega(t) over the intervals where the drive is on."""
-    if len(amplitude) < 2:
-        return PhysicalConstants().omega_max
+def _drive_on_average(amplitude: list) -> Optional[float]:
+    """Time-average of Omega(t) over the intervals where the drive is on;
+    None when it is never on."""
     area = on_time = 0.0
     for (t0, v0), (t1, v1) in zip(amplitude[:-1], amplitude[1:]):
         if t1 <= t0:
@@ -391,44 +362,33 @@ def _drive_on_average(amplitude: list) -> float:
         if v0 > 0 or v1 > 0:
             area += 0.5 * (v0 + v1) * (t1 - t0)
             on_time += t1 - t0
-    return area / on_time if on_time > 0 else PhysicalConstants().omega_max
+    return area / on_time if on_time > 0 else None
 
 
 # ---------------------------------------------------------------------------
 # emulation
 
 
-def _sample_channel(channel: list, t: float, default: float = 0.0) -> float:
-    """Linear interpolation within fragments; 0 between them."""
-    if not channel:
-        return default
-    prev_t, prev_v = None, None
-    for ct, cv in channel:
-        if ct > t:
-            if prev_t is not None and prev_t <= t:
-                if ct == prev_t:
-                    return prev_v
-                return prev_v + (cv - prev_v) * (t - prev_t) / (ct - prev_t)
-            return default
-        prev_t, prev_v = ct, cv
-    return prev_v if prev_t is not None and prev_t <= t else default
+def _knots(channel: list) -> tuple:
+    """(times, values) arrays of a channel's breakpoints; empty reads 0."""
+    ts, vs = np.array(channel or [(0.0, 0.0)], dtype=float).T
+    return ts, vs
 
 
-def _phase_at(phase: list, t: float) -> float:
-    val = 0.0
-    for ct, cv in phase:
-        if ct <= t:
-            val = cv
-        else:
-            break
-    return val
+def _linear_at(knots: tuple, t):
+    """Piecewise-linear channel at time(s) t: 0 before the first knot, the
+    last value after the last one."""
+    return np.interp(t, *knots, left=0.0)
 
 
-def emulate(
-    program: RydbergProgram,
-    max_step: float = 1e-3,
-    initial: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _step_at(knots: tuple, t: float) -> float:
+    """Stepwise channel at time t: the value of the last knot at or before t
+    (right-continuous), 0 before the first."""
+    k = int(np.searchsorted(knots[0], t, side="right"))
+    return float(knots[1][k - 1]) if k else 0.0
+
+
+def emulate(program: RydbergProgram, max_step: float = 1e-3) -> np.ndarray:
     """Dense 2^n integration of the time-dependent Rydberg Hamiltonian.
 
     H(t) = sum_i Omega(t)/2 (e^{i phi}|g><r|_i + h.c.) + delta(t) w_i n_i
@@ -456,10 +416,7 @@ def emulate(
             f"dense emulation supported for n <= {MAX_EMULATED_ATOMS}")
     dim = 1 << n
     psi = np.zeros(dim, dtype=complex)
-    if initial is None:
-        psi[0] = 1.0
-    else:
-        psi[:] = initial
+    psi[0] = 1.0
     dist = program.layout.pair_distances()
     c6 = program.constants.c6
     idx = np.arange(dim)
@@ -469,8 +426,8 @@ def emulate(
         for j in range(i + 1, n):
             vdw += (c6 / dist[i, j] ** 6) * bits[:, i] * bits[:, j]
     excitations = bits.sum(axis=1)
-    weights = program.waveform.local_weights
-    local_n = bits @ weights if weights is not None else None
+    wf = program.waveform
+    local_n = bits @ wf.local_weights if wf.local_weights is not None else None
 
     def diagonal(dl):
         return vdw if local_n is None or dl == 0.0 else vdw + dl * local_n
@@ -483,40 +440,32 @@ def emulate(
 
         return expm_krylov(apply_h, v, dt)
 
+    amp, loc = _knots(wf.amplitude), _knots(wf.local_detuning)
+    phase = _knots(wf.phase)
     # integration breakpoints: all channel knots, then sub-divide to max_step
-    knots = sorted({0.0, program.duration}
-                   | {t for t, _ in program.waveform.amplitude}
-                   | {t for t, _ in program.waveform.local_detuning}
-                   | {t for t, _ in program.waveform.phase})
-    amp_ch = program.waveform.amplitude
-    loc_ch = program.waveform.local_detuning
-    ph_ch = program.waveform.phase
+    knots = np.unique(np.concatenate([[0.0, program.duration],
+                                      amp[0], loc[0], phase[0]]))
 
     frame_phi = 0.0  # psi holds e^{i frame_phi N} times the lab-frame state
     for a, b in zip(knots[:-1], knots[1:]):
-        if b <= a:
-            continue
         steps = max(1, int(np.ceil((b - a) / max_step)))
         dt = (b - a) / steps
-        first, last = a + 0.5 * dt, a + (steps - 0.5) * dt
-        phi = _phase_at(ph_ch, first)
+        mids = a + (np.arange(steps) + 0.5) * dt
+        phi = _step_at(phase, mids[0])
         if phi != frame_phi:
             psi *= np.exp(1j * (phi - frame_phi) * excitations)
             frame_phi = phi
         # channels are linear on the interval: equal values at the first and
         # last step midpoints mean the channel is constant on it
-        om0, om1 = _sample_channel(amp_ch, first), _sample_channel(amp_ch, last)
-        dl0, dl1 = _sample_channel(loc_ch, first), _sample_channel(loc_ch, last)
-        if om0 == 0.0 and om1 == 0.0:
+        om, dl = _linear_at(amp, mids), _linear_at(loc, mids)
+        if om[0] == 0.0 and om[-1] == 0.0:
             # the mean of a linear delta times the length is its exact area
-            psi *= np.exp(-1j * (b - a) * diagonal(0.5 * (dl0 + dl1)))
-        elif om0 == om1 and dl0 == dl1:
-            psi = propagate(psi, om0, dl0, b - a)
+            psi *= np.exp(-1j * (b - a) * diagonal(0.5 * (dl[0] + dl[-1])))
+        elif om[0] == om[-1] and dl[0] == dl[-1]:
+            psi = propagate(psi, om[0], dl[0], b - a)
         else:
-            for s in range(steps):
-                tm = a + (s + 0.5) * dt
-                psi = propagate(psi, _sample_channel(amp_ch, tm),
-                                _sample_channel(loc_ch, tm), dt)
+            for om_s, dl_s in zip(om, dl):
+                psi = propagate(psi, om_s, dl_s, dt)
     if frame_phi != 0.0:
         psi *= np.exp(-1j * frame_phi * excitations)
     return psi

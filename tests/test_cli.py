@@ -251,6 +251,34 @@ def test_tracer_keeps_rydberg_kernel_leaf_live(tmp_path, monkeypatch):
     assert metrics["kernels.rydberg_apply_bytes"] > 0.0
 
 
+def test_tracer_keeps_csr_matvec_leaf_live(tmp_path, monkeypatch):
+    # perfbench wraps kernels.csr_matvec by name; Krylov walk propagation
+    # must keep calling it there for the product-sweep layer metrics to read
+    from blockwalk import ctqw, subspace
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracer")
+    basis = subspace.enumerate_subspace(subspace.ring_graph(8))
+    gen = ctqw.build_generator(basis)
+    tracer = tracing.Tracer(str(tmp_path))
+    tracing.install(tracer)
+    originals = {}
+    for owner, attr, original in tracer._patched:
+        originals.setdefault((owner, attr), original)
+    try:
+        with tracer.root("benchmark.sweep"):
+            ctqw.evolve_walk(ctqw.zero_state(basis), gen, 0.7, "krylov")
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.collect(), [], 1)
+    assert metrics["ctqw.evolve_krylov_calls"] == 1
+    for key in ("calls", "s", "bytes", "flops"):
+        assert metrics[f"kernels.csr_matvec_{key}"] > 0
+    assert originals
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original
+
+
 def _run_rejected(tmp_path, **overrides):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**CONFIG, **overrides}))
@@ -268,6 +296,17 @@ def test_run_config_rejects_deep_product(tmp_path):
 def test_run_config_rejects_emulation_above_14_atoms(tmp_path, backend):
     assert _run_rejected(tmp_path, rings=[5, 15],
                          backends=["ctqw", backend]) == (1, False)
+
+
+@pytest.mark.parametrize("rings,targets", [
+    ([13, 5], ["half", "10100"]),   # 5 bits on the 13-ring
+    ([5], ["half", "11000"]),       # adjacent sites on the 5-ring
+    ([5], ["10001"]),               # adjacent across the wrap-around
+])
+def test_run_config_rejects_bad_target_before_running(tmp_path, rings,
+                                                      targets):
+    # every (ring, target) pair is checked before any instance runs
+    assert _run_rejected(tmp_path, rings=rings, targets=targets) == (1, False)
 
 
 def test_run_bracelet_pipeline_deterministic(tmp_path):

@@ -42,45 +42,41 @@ def test_csr_matvec_real_data_matches_dense_reference():
         got = kernels.csr_matvec(m.indptr, m.indices, m.data, x)
         assert got.dtype == complex
         assert np.allclose(got, ref, atol=1e-12)
-        out = np.full(n, np.nan + 0j)
-        got = kernels.csr_matvec(m.indptr, m.indices, m.data, x, out)
-        assert got is out
-        assert np.allclose(out, ref, atol=1e-12)
 
 
-def _rydberg_apply_reference(psi, diag, omega, phi, n_atoms):
-    """Dense reference: H = diag + sum_i (omega/2)(e^{i phi}|g><r|_i + h.c.)."""
+def _rydberg_apply_reference(psi, diag, omega, n_atoms):
+    """Dense reference: H = diag + sum_i (omega/2)(|g><r|_i + h.c.)."""
     dim = 1 << n_atoms
     h = np.diag(diag.astype(complex))
     for b in range(dim):
         for i in range(n_atoms):
             if not (b >> i) & 1:
                 # |g>_i component: couple to the |r>_i partner
-                h[b, b | (1 << i)] += 0.5 * omega * np.exp(1j * phi)
-                h[b | (1 << i), b] += 0.5 * omega * np.exp(-1j * phi)
+                h[b, b | (1 << i)] += 0.5 * omega
+                h[b | (1 << i), b] += 0.5 * omega
     return h @ psi
 
 
 def test_rydberg_apply_matches_dense_reference():
     # odd and even atom counts split the drive unevenly and evenly over the
-    # high and low bits; phi = 0 takes the gauge-free path
+    # high and low bits
     rng = np.random.default_rng(9)
     for n_atoms in range(1, 8):
         dim = 1 << n_atoms
-        for phi in (0.0, rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)):
+        for _ in range(3):
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             diag = rng.normal(size=dim)
             omega = rng.uniform(0, 15.8)
-            ref = _rydberg_apply_reference(psi, diag, omega, phi, n_atoms)
-            out = kernels.rydberg_apply(psi, diag, omega, phi, n_atoms)
+            ref = _rydberg_apply_reference(psi, diag, omega, n_atoms)
+            out = kernels.rydberg_apply(psi, diag, omega, 0.0, n_atoms)
             assert np.allclose(out, ref, atol=1e-12)
-            buf = np.full(dim, np.nan + 0j)
-            got = kernels.rydberg_apply(psi, diag, omega, phi, n_atoms, out=buf)
-            assert got is buf
-            assert np.allclose(buf, ref, atol=1e-12)
         # the drive off leaves the diagonal alone
-        got = kernels.rydberg_apply(psi, diag, 0.0, phi, n_atoms)
+        got = kernels.rydberg_apply(psi, diag, 0.0, 0.0, n_atoms)
         assert np.allclose(got, diag * psi, atol=0.0)
+        # a drive phase is applied by the caller's frame change, not here
+        with pytest.raises(ValueError):
+            kernels.rydberg_apply(psi, diag, omega, rng.uniform(0.1, np.pi),
+                                  n_atoms)
     # the drive factors are tabulated up to MAX_DRIVE_ATOMS
     n_big = kernels.MAX_DRIVE_ATOMS + 1
     with pytest.raises(ValueError):

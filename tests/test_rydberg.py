@@ -67,26 +67,38 @@ def test_pulse_slew_respects_rise_time():
 
 
 def test_global_phase_fragment_is_step():
-    frag = ry.synthesize_phase_fragment("global-jump", 0.8)
-    assert frag["duration"] == 0.0
-    assert frag["step"] == pytest.approx(-0.8)
+    # a Hamming phasor is a zero-duration step of the Rabi phase by -gamma
+    sched = ctqw.AnsatzSchedule(tau0=0.4, layers=((0.8, 0.4),),
+                                phasor_kind="hamming")
+    wf = ry.compile_program(sched, 5).waveform
+    (t_jump, step), = wf.phase[1:]
+    assert t_jump == wf.amplitude[2][0] == wf.amplitude[3][0]
+    assert step == pytest.approx(-0.8)
+
+
+def test_zero_phase_jump_writes_positive_zero():
+    sched = ctqw.AnsatzSchedule(tau0=0.4, layers=((0.0, 0.4),),
+                                phasor_kind="hamming")
+    prog = ry.compile_program(sched, 5)
+    assert [np.copysign(1.0, v) for _, v in prog.waveform.phase] == [1.0, 1.0]
+    assert "-0.0" not in ry.program_to_json(prog)
 
 
 def test_local_phase_fragment_triangles_capped():
-    frag = ry.synthesize_phase_fragment("local-pulse", 1.5)
-    for tri in frag["triangles"]:
+    triangles, _, _ = ry.synthesize_local_pulse(1.5)
+    for tri in triangles:
         peak = max(v for _, v in tri)
         assert peak <= C.local_detuning_cap + 1e-12
-        assert _pulse_area(tri) == pytest.approx(1.5 / len(frag["triangles"]))
+        assert _pulse_area(tri) == pytest.approx(1.5 / len(triangles))
 
 
 def test_pi_local_phase_splits_in_two():
-    frag = ry.synthesize_phase_fragment("local-pulse", np.pi)
-    assert len(frag["triangles"]) == 2
-    for tri in frag["triangles"]:
+    triangles, _, warnings = ry.synthesize_local_pulse(np.pi)
+    assert len(triangles) == 2
+    for tri in triangles:
         assert _pulse_area(tri) == pytest.approx(np.pi / 2)
         assert max(v for _, v in tri) <= C.local_detuning_cap
-    assert frag["warnings"]
+    assert warnings
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +157,40 @@ def test_scale_shrinks_ring():
     a = ry.ring_layout(6, scale=1.0)
     b = ry.ring_layout(6, scale=0.85)
     assert b.diameter == pytest.approx(0.85 * a.diameter)
+
+
+def test_drive_off_program_sizes_ring_with_its_constants():
+    # with no walk pulse there is no drive-on average, so the layout uses
+    # the program's own omega_max
+    consts = ry.PhysicalConstants(omega_max=10.0)
+    prog = ry.compile_program(ctqw.AnsatzSchedule(tau0=0.0), 6,
+                              constants=consts)
+    assert not prog.waveform.amplitude
+    ref = ry.ring_layout(6, consts)
+    assert prog.layout.diameter == pytest.approx(ref.diameter, rel=1e-12)
+    assert prog.layout.diameter == pytest.approx(7.8389, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# channel lookups
+
+
+def test_linear_channel_on_back_to_back_fragments():
+    # two fragments share the knot time 0.2, as compile_program writes them
+    knots = ry._knots([(0.1, 2.0), (0.15, 4.0), (0.2, 0.0),
+                       (0.2, 0.0), (0.25, -2.0), (0.3, 1.5)])
+    t = np.array([0.05, 0.1, 0.125, 0.175, 0.2, 0.225, 0.275, 0.3, 0.4])
+    want = [0.0, 2.0, 3.0, 2.0, 0.0, -1.0, -0.25, 1.5, 1.5]
+    assert ry._linear_at(knots, t) == pytest.approx(want, abs=1e-12)
+    # an empty channel reads 0 everywhere
+    assert np.all(ry._linear_at(ry._knots([]), t) == 0.0)
+
+
+def test_phase_steps_are_right_continuous():
+    knots = ry._knots([(0.05, -0.8), (0.2, 0.4)])
+    got = [ry._step_at(knots, t) for t in (0.0, 0.05, 0.1, 0.2, 0.3)]
+    assert got == [0.0, -0.8, -0.8, 0.4, 0.4]
+    assert ry._step_at(ry._knots([]), 0.1) == 0.0
 
 
 # ---------------------------------------------------------------------------
