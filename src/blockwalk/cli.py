@@ -416,6 +416,16 @@ def _run_instance(task: dict) -> dict:
     return out
 
 
+def _collect(future, task: dict) -> dict:
+    """A pool task's row; a task whose worker raised or died (the pool then
+    fails every task it still held) becomes that instance's error row."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return {"ring": task["ring"], "target_spec": task["target"],
+                "depth": task["depth"], "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _instance_tasks(cfg: dict) -> list:
     tasks = []
     depths = cfg["depths"] if cfg["ansatz"] == "product" else [0]
@@ -462,7 +472,8 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
     t0 = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_instance, tasks))
+            futures = [pool.submit(_run_instance, t) for t in tasks]
+            results = [_collect(f, t) for f, t in zip(futures, tasks)]
     else:
         results = [_run_instance(t) for t in tasks]
     csv_text = _results_csv(cfg, results)

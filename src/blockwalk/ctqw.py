@@ -2,9 +2,18 @@
 
 The walk generator G is a real symmetric 0/1 matrix and is stored as float64.
 The walk propagator exp(-i tau G) v is computed either from G's cached real
-eigendecomposition (small bases, and always available as a cross-check),
-whose real eigenvectors act on the complex state in real arithmetic, or by
-adaptive Lanczos/Krylov iteration with sparse matrix-vector products.
+eigendecomposition (small bases, and always available as a cross-check) or
+by adaptive Lanczos/Krylov iteration with sparse matrix-vector products.
+
+The eigendecomposition is blocked by ring momentum.  When the basis is closed
+under rotating the ring, G commutes with the rotation, so real cosine and
+sine combinations of each rotation orbit at momentum +-k (Sandvik, AIP Conf.
+Proc. 1297, 135, 2010) split G into about N/2 real blocks of about 2|V|/N
+states.  The eigenvectors are kept factored as V = F blockdiag(U_k): a sparse
+real matrix of momentum columns and a zero-padded stack of block
+eigenvectors, so V c and V^T x cost one sparse product and one batched block
+product in real arithmetic and V is never formed.  Any other basis is one
+block with F = I.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from . import kernels
-from .subspace import SubspaceBasis, popcount, walk_edges
+from .subspace import SubspaceBasis, popcount_array, walk_edges
 
 DENSE_CUTOFF = 2048
 KRYLOV_DIM = 60        # Lanczos vectors per Krylov step at most
@@ -68,12 +77,136 @@ class WalkGenerator:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def eig(self):
-        """Cached real eigendecomposition (eigenvalues, eigenvectors as columns)."""
+    def eig(self) -> Eigenbasis:
+        """Cached real eigendecomposition, blocked by ring momentum."""
         if self._eig is None:
-            w, v = np.linalg.eigh(self.dense())
-            self._eig = (w, v)
+            self._eig = _momentum_eigenbasis(self)
         return self._eig
+
+
+@dataclass(frozen=True)
+class Eigenbasis:
+    """G = V diag(w) V^T with V = F blockdiag(U[0], U[1], ...).
+
+    Eigen-coefficient vectors have one slot per (block, row): block k owns
+    slots k*b ... k*b + sizes[k] - 1 of ``n_blocks * b``, where b is the
+    largest block.  ``F`` (|V| x slots) holds orthonormal real momentum
+    columns; ``U[k]`` holds block k's eigenvectors, zero-padded to b x b.
+    Padding slots have empty columns in F and w = 0, so V diag(w) V^T = G
+    and they stay zero under ``to_eigen`` and ``to_states``.
+    """
+
+    w: np.ndarray          # (n_blocks * b,) eigenvalues, float64
+    F: sp.csr_matrix       # (|V|, n_blocks * b) momentum columns
+    U: np.ndarray          # (n_blocks, b, b) block eigenvectors
+    sizes: np.ndarray      # (n_blocks,) block sizes
+    ft: sp.csr_matrix      # F^T, row-compressed for V^T x
+
+    def to_eigen(self, x: np.ndarray) -> np.ndarray:
+        """V^T x for a complex state x."""
+        y = kernels.real_matvec(self.ft, x)
+        return kernels.block_matvec(self.U.transpose(0, 2, 1), y)
+
+    def row(self, index: int) -> np.ndarray:
+        """Row ``index`` of V: the eigen-coefficients of one basis state."""
+        e = np.zeros(self.F.shape[0], dtype=complex)
+        e[index] = 1.0
+        return np.ascontiguousarray(self.to_eigen(e).real)
+
+    def to_states(self, c: np.ndarray) -> np.ndarray:
+        """V c for complex eigen-coefficients c."""
+        return kernels.real_matvec(self.F, kernels.block_matvec(self.U, c))
+
+    def diagonal_operator(self, d: np.ndarray):
+        """c -> V^T diag(d) V c for a real diagonal d over the states.
+
+        d is folded into the momentum factor once, P = F^T diag(d) F, which
+        couples only columns of one rotation orbit and so stays as sparse as
+        F; each application is then one sparse and two block products on
+        the real view of c, which must be a contiguous complex vector.
+        """
+        ft = self.ft
+        p = sp.csr_matrix((ft.data * d[ft.indices], ft.indices, ft.indptr),
+                          shape=ft.shape) @ self.F
+        u, ut = self.U, self.U.transpose(0, 2, 1)
+        shape = u.shape[:2] + (2,)
+
+        def apply(c: np.ndarray) -> np.ndarray:
+            y = p @ np.matmul(u, c.view(float).reshape(shape)).reshape(-1, 2)
+            return np.matmul(ut, y.reshape(shape)).view(complex).ravel()
+        return apply
+
+
+def _rotation_sectors(basis: SubspaceBasis):
+    """Per-state rotation orbit, orbit position and period, per-momentum
+    orbit admission, and the block sizes of G's momentum blocks.
+
+    Rotating left by j maps state s to T^j s.  Each orbit is labelled by
+    its minimum r; s = T^m r with period L.  Momentum k (0 <= k <= N/2)
+    admits an orbit when k L = 0 mod N; k = 0 and k = N/2 give one cosine
+    column per admitted orbit, every other k a cosine and a sine column.  A
+    basis that is not closed under rotation is treated as N = 1: every state
+    its own orbit, one block.
+    """
+    s = basis.states.astype(np.uint64)
+    n = basis.n_bits
+    shifts = np.arange(n, dtype=np.uint64)[:, None]
+    rots = ((s << shifts) | (s >> (np.uint64(n) - shifts))) \
+        & np.uint64((1 << n) - 1)
+    if not np.array_equal(np.sort(rots[-1]), s):
+        n, rots = 1, s[None, :]
+    first = rots.argmin(axis=0)
+    # T^n s = s always: the first j >= 1 with T^j s = s is the period
+    same = np.append(rots[1:] == s, np.ones((1, len(s)), bool), axis=0)
+    period = same.argmax(axis=0) + 1
+    position = -first % period
+    _, orbit = np.unique(rots[first, np.arange(len(s))], return_inverse=True)
+    orbit_period = np.zeros(orbit.max() + 1, dtype=np.int64)
+    orbit_period[orbit] = period
+    k = np.arange(n // 2 + 1)
+    admits = (k[:, None] * orbit_period[None, :]) % n == 0
+    pair = (k > 0) & (2 * k != n)
+    sizes = admits.sum(axis=1) * (1 + pair)
+    return n, orbit, position, period, admits, pair, sizes
+
+
+def largest_block(basis: SubspaceBasis) -> int:
+    """Size of the largest momentum block of the basis's walk generator."""
+    return int(_rotation_sectors(basis)[-1].max())
+
+
+def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
+    """Momentum columns F in one vectorised pass, then eigh of each
+    diagonal block of F^T G F."""
+    n, orbit, position, period, admits, pair, sizes = \
+        _rotation_sectors(gen.basis)
+    b = int(sizes.max())
+    count = admits.sum(axis=1)
+    rank = np.cumsum(admits, axis=1) - 1
+    ks, rows = np.nonzero(admits[:, orbit])
+    cols = ks * b + rank[ks, orbit[rows]]
+    phase = 2.0 * np.pi * ks * position[rows] / n
+    amp = np.sqrt((1 + pair[ks]) / period[rows])
+    has_sin = pair[ks]
+    f = sp.csr_matrix(
+        (np.concatenate([amp * np.cos(phase), (amp * np.sin(phase))[has_sin]]),
+         (np.concatenate([rows, rows[has_sin]]),
+          np.concatenate([cols, (cols + count[ks])[has_sin]]))),
+        shape=(gen.dim, len(sizes) * b))
+    ft = f.T.tocsr()
+    # F^T G F is block diagonal; its entries between blocks are rounding
+    # noise.  Each block is unpacked into its slot of u and decomposed there.
+    h = ft @ gen.matrix @ f
+    row = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    blk = row // b
+    same = blk == h.indices // b
+    u = np.zeros((len(sizes), b, b))
+    u[blk[same], row[same] % b, h.indices[same] % b] = h.data[same]
+    w = np.zeros(len(sizes) * b)
+    for k, size in enumerate(sizes):
+        w[k * b:k * b + size], u[k, :size, :size] = \
+            np.linalg.eigh(u[k, :size, :size])
+    return Eigenbasis(w, f, u, sizes, ft)
 
 
 def build_generator(basis: SubspaceBasis) -> WalkGenerator:
@@ -105,7 +238,8 @@ class PhasorDiagonal:
 
 def local_phasor(basis: SubspaceBasis, target_mask: int) -> PhasorDiagonal:
     """Site-linear phasor counting excitations on the target's set bits."""
-    c = np.array([popcount(int(s) & target_mask) for s in basis.states], dtype=float)
+    mask = np.uint64(target_mask & ((1 << basis.n_bits) - 1))
+    c = popcount_array(basis.states & mask).astype(float)
     return PhasorDiagonal(basis, c)
 
 
@@ -116,9 +250,8 @@ def hamming_phasor(basis: SubspaceBasis) -> PhasorDiagonal:
 
 
 def _expm_dense(gen: WalkGenerator, v: np.ndarray, tau: float) -> np.ndarray:
-    w, vecs = gen.eig()
-    c = np.exp(-1j * tau * w) * kernels.real_matvec(vecs.T, v)
-    return kernels.real_matvec(vecs, c)
+    eb = gen.eig()
+    return eb.to_states(np.exp(-1j * tau * eb.w) * eb.to_eigen(v))
 
 
 def _expm_krylov_step(matvec, v, tau, tol):

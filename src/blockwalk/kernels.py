@@ -14,9 +14,9 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-vector products of the real symmetric walk generator with complex
-# states: the sparse one is the inner loop of Krylov propagation, the dense
-# one applies eigenvectors in the dense propagator and the product ansatz.
+# Products of real matrices with complex states: the sparse generator matvec
+# is the inner loop of Krylov propagation; the real and block matvecs apply
+# the factored eigenvectors in the dense propagator and the product ansatz.
 
 def csr_matvec(indptr, indices, data, x):
     """y = A @ x for a CSR matrix given by (indptr, indices, data)."""
@@ -32,6 +32,14 @@ def real_matvec(a, x):
     """
     xr = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
     return (a @ xr).view(complex).ravel()
+
+
+def block_matvec(a, x):
+    """Stacked a[k] @ x[k] for real (n, b, b) ``a`` and a complex vector x of
+    n*b entries, in real arithmetic: one batched matrix product on the
+    (n, b, 2) real view."""
+    xr = np.ascontiguousarray(x, dtype=complex).view(float).reshape(len(a), -1, 2)
+    return np.matmul(a, xr).view(complex).ravel()
 
 
 # ---------------------------------------------------------------------------

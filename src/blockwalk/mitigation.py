@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .rydberg import ShotSet
-from .subspace import SubspaceBasis, bits_to_str
+from .subspace import SubspaceBasis, bits_to_str, popcount_array
 
 __all__ = [
     "ReadoutChannel",
@@ -54,17 +54,6 @@ STANDARD_CHANNEL = ReadoutChannel(0.99, 0.93)
 LOCAL_DETUNING_CHANNEL = ReadoutChannel(0.90, 0.93)
 
 
-def _popcount_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x).astype(np.int64)
-    out = np.zeros(x.shape, dtype=np.int64)
-    while np.any(x):
-        out += (x & np.uint64(1)).astype(np.int64)
-        x = x >> np.uint64(1)
-    return out
-
-
 def channel_likelihood(z: int, s: int, n_bits: int, channel: ReadoutChannel) -> float:
     """K(z|s) = prod_j P(z_j | s_j)."""
     mask = (1 << n_bits) - 1
@@ -87,9 +76,9 @@ def _likelihood_matrix(
     mask = np.uint64((1 << n_bits) - 1)
     zz = z.astype(np.uint64)[None, :]
     sk = s.astype(np.uint64)[:, None]
-    n11 = _popcount_array(zz & sk)
-    n10 = _popcount_array(sk & ~zz & mask)
-    n01 = _popcount_array(zz & ~sk & mask)
+    n11 = popcount_array(zz & sk)
+    n10 = popcount_array(sk & ~zz & mask)
+    n01 = popcount_array(zz & ~sk & mask)
     n00 = n_bits - n11 - n10 - n01
     with np.errstate(divide="ignore"):
         logs = (

@@ -5,8 +5,10 @@ string into a part that preserves the phasor's +1 eigenspace and a part that
 couples out of it.  Norms of the two parts acting on the all-zeros state give
 an effective two-parameter chain model whose closed-form optimum seeds a
 Nelder-Mead refinement of the exact success probability.  Each pi-phasor layer
-is the split's sign operator, so on bases small enough for a dense
-decomposition the success probability is evaluated in the walk's eigenbasis.
+is the split's sign operator, so when the walk generator's momentum blocks
+are small enough for a dense decomposition the success probability is
+evaluated in its factored eigenbasis, V = F blockdiag(U_k), without forming
+V; larger blocks propagate the schedule with Krylov steps.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-from . import kernels
 from .ctqw import (
     DENSE_CUTOFF,
     AnsatzSchedule,
     WalkGenerator,
+    largest_block,
     run_ansatz,
     success_probability,
 )
-from .subspace import SubspaceBasis, popcount
+from .subspace import SubspaceBasis, popcount, popcount_array
 
 __all__ = [
     "SubspaceSplit",
@@ -104,9 +106,7 @@ def split_generator(gen: WalkGenerator, z_star: int) -> SubspaceSplit:
     if z_star not in basis:
         raise ValueError(f"target state {z_star:b} not in subspace")
     mask = (~z_star) & ((1 << basis.n_bits) - 1)
-    signs = np.array(
-        [1.0 if popcount(int(a) & mask) % 2 == 0 else -1.0 for a in basis.states]
-    )
+    signs = 1.0 - 2.0 * (popcount_array(basis.states & np.uint64(mask)) % 2)
     g = gen.matrix.tocsr()
     u = sp.diags(signs)
     conj = (u @ g @ u).tocsr()
@@ -233,29 +233,31 @@ def _product_success(
     """Success probability of the depth-p pi-phasor schedule as a function
     ``success(tau0, tau1)``.
 
-    Every pi-phasor layer is the sign operator S of the split.  On the dense
-    path the schedule runs in the eigenbasis of G = V diag(w) V^T: with
-    M = V^T S V built once, the state's coefficients start as the all-zeros
-    row of V times exp(-i tau0 w), each layer is one real matvec with M
-    followed by exp(-i tau1 w), and the amplitude on the target is its row of
-    V dotted with the coefficients.  Larger bases propagate the schedule with
-    Krylov steps (``evaluate_product``).
+    Every pi-phasor layer is the sign operator S of the split.  When the
+    generator's largest momentum block fits ``DENSE_CUTOFF``, the schedule
+    runs in the factored eigenbasis G = V diag(w) V^T, V = F blockdiag(U_k)
+    (``ctqw.Eigenbasis``): the coefficients start as the all-zeros row of V
+    times exp(-i tau0 w), each layer is c <- exp(-i tau1 w) V^T (S V c), and
+    the amplitude on the target is its row of V dotted with the
+    coefficients.  V is applied as one sparse product and one batched block
+    product each way and is never formed.  Larger blocks propagate the
+    schedule with Krylov steps (``evaluate_product``).
     """
-    if gen.dim > DENSE_CUTOFF:
+    if largest_block(basis) > DENSE_CUTOFF:
         return functools.partial(evaluate_product, basis, gen, z_star, p)
 
-    z = basis.index_of(z_star)
     if split is None:
         split = split_generator(gen, z_star)
-    w, vecs = gen.eig()
-    m = vecs.T @ (split.signs[:, None] * vecs)
-    start, end = vecs[basis.index_of(0)], vecs[z]
+    eb = gen.eig()
+    layer = eb.diagonal_operator(split.signs)
+    start = eb.row(basis.index_of(0))
+    end = eb.row(basis.index_of(z_star))
 
     def success(tau0: float, tau1: float) -> float:
-        c = start * np.exp(-1j * tau0 * w)
-        walk = np.exp(-1j * tau1 * w)
+        c = start * np.exp(-1j * tau0 * eb.w)
+        walk = np.exp(-1j * tau1 * eb.w)
         for _ in range(p):
-            c = walk * kernels.real_matvec(m, c)
+            c = walk * layer(c)
         return float(abs(end @ c) ** 2)
     return success
 
@@ -270,9 +272,9 @@ def evaluate_product(
 ) -> float:
     """Success probability of the depth-p pi-phasor schedule at (tau0, tau1).
 
-    One evaluation propagates the schedule (dense bases through the
-    generator's cached eigendecomposition); only an optimization, which
-    evaluates many points, pays for the eigenbasis layer matrix M.
+    One evaluation propagates the schedule with ``run_ansatz``; only an
+    optimization, which evaluates many points, pays for the generator's
+    momentum-blocked eigendecomposition (``_product_success``).
     """
     sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
     return success_probability(run_ansatz(sched, gen), [basis.index_of(z_star)])

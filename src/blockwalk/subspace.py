@@ -19,6 +19,18 @@ def popcount(x: int) -> int:
     return bin(x).count("1")
 
 
+def popcount_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise popcount of an unsigned integer array, as int64."""
+    x = x.astype(np.uint64)
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(x).astype(np.int64)
+    out = np.zeros(x.shape, dtype=np.int64)
+    while np.any(x):
+        out += (x & np.uint64(1)).astype(np.int64)
+        x = x >> np.uint64(1)
+    return out
+
+
 def bits_to_str(x: int, n: int) -> str:
     return format(x, "0%db" % n)
 
@@ -89,7 +101,7 @@ class SubspaceBasis:
         return int(state) in self._index
 
     def hamming_weights(self) -> np.ndarray:
-        return np.array([popcount(int(s)) for s in self.states])
+        return popcount_array(self.states)
 
 
 def enumerate_subspace(g: ConstraintGraph) -> SubspaceBasis:

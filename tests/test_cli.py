@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -277,6 +278,61 @@ def test_tracer_keeps_csr_matvec_leaf_live(tmp_path, monkeypatch):
     assert originals
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original
+
+
+def test_tracer_keeps_eig_live(tmp_path, monkeypatch):
+    # perfbench wraps WalkGenerator.eig by name and reads its _eig cache to
+    # count computed decompositions; the product objective must keep both
+    from blockwalk import ctqw, prep_product, subspace
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracer")
+    basis = subspace.enumerate_subspace(subspace.ring_graph(8))
+    gen = ctqw.build_generator(basis)
+    z = subspace.str_to_bits(subspace.half_target(8))
+    tracer = tracing.Tracer(str(tmp_path))
+    tracing.install(tracer)
+    originals = {}
+    for owner, attr, original in tracer._patched:
+        originals.setdefault((owner, attr), original)
+    try:
+        with tracer.root("benchmark.sweep"):
+            prep_product.optimize_product(basis, gen, z, 2)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.collect(), [], 1)
+    assert metrics["ctqw.eig_calls"] == 1
+    assert metrics["ctqw.eig_s"] > 0.0
+    assert (ctqw.WalkGenerator, "eig") in originals
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original
+
+
+_RUN_INSTANCE = cli._run_instance
+
+
+def _exit_on_ring_6(task):
+    """Pool task that kills its worker process on ring 6."""
+    if task["ring"] == 6:
+        os._exit(3)
+    return _RUN_INSTANCE(task)
+
+
+def test_run_config_survives_dead_worker(tmp_path, monkeypatch):
+    # a dead worker breaks the pool: its instance (and any the pool still
+    # held) fails, but the sweep still writes its rows and manifest
+    monkeypatch.setattr(cli, "_run_instance", _exit_on_ring_6)
+    out = tmp_path / "o"
+    manifest = cli.run_config(CONFIG, str(out), workers=2)
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+    rings = [inst["ring"] for inst in manifest["instances"]]
+    assert rings == CONFIG["rings"]
+    dead = manifest["instances"][rings.index(6)]
+    assert dead["error"].startswith("BrokenProcessPool")
+    failed = [inst for inst in manifest["instances"] if inst.get("error")]
+    assert manifest["failed_instances"] == len(failed) >= 1
+    rows = (out / "results.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == [str(n) for n in rings]
 
 
 def _run_rejected(tmp_path, **overrides):

@@ -14,18 +14,76 @@ def _setup(n):
     return basis, ctqw.build_generator(basis)
 
 
+def _dense_eigenpairs(eb):
+    """Eigenvalues and dense eigenvector columns V = F blockdiag(U_k) of a
+    factored eigenbasis, padding slots dropped."""
+    valid = (np.arange(eb.U.shape[1]) < eb.sizes[:, None]).ravel()
+    v = eb.F @ scipy.linalg.block_diag(*eb.U)
+    return eb.w[valid], v[:, valid]
+
+
 def test_generator_symmetric_hamming_one():
     basis, gen = _setup(7)
     assert gen.matrix.dtype == np.float64
     m = gen.dense()
     assert np.allclose(m, m.T)
-    w, v = gen.eig()
+    w, v = _dense_eigenpairs(gen.eig())
     assert w.dtype == np.float64 and v.dtype == np.float64
     assert np.allclose((v * w) @ v.T, m, atol=1e-12)
     for i in range(len(basis)):
         for j in range(len(basis)):
             d = ss.popcount(int(basis.states[i]) ^ int(basis.states[j]))
             assert m[i, j] == (1.0 if d == 1 else 0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_momentum_eigenbasis_factors_generator(n):
+    # odd and even rings; orbits shorter than the ring: 0101...01 (period 2)
+    # for even n, 001001...001 (period 3) for n divisible by 3
+    basis, gen = _setup(n)
+    eb = gen.eig()
+    assert eb.w.dtype == eb.U.dtype == eb.F.dtype == np.float64
+    assert len(eb.sizes) == n // 2 + 1 and eb.sizes.sum() == len(basis)
+    valid = (np.arange(eb.U.shape[1]) < eb.sizes[:, None]).ravel()
+    # V diag(w) V^T = F blockdiag(U_k diag(w_k) U_k^T) F^T
+    u, w = eb.U, eb.w.reshape(eb.U.shape[:2])
+    inner = scipy.linalg.block_diag(*((u * w[:, None, :]) @ u.transpose(0, 2, 1)))
+    g = gen.dense()
+    assert np.abs(eb.F @ (eb.F @ inner).T - g).max() < 1e-12
+    # V^T V = I (orthonormal momentum columns, orthogonal blocks), so the
+    # w on valid slots are G's eigenvalues
+    ftf = (eb.F.T @ eb.F).toarray()
+    assert np.abs(ftf - np.diag(valid.astype(float))).max() < 1e-12
+    eye = np.eye(u.shape[1]) * (np.arange(u.shape[1]) < eb.sizes[:, None, None])
+    assert np.abs(u.transpose(0, 2, 1) @ u - eye).max() < 1e-12
+    # padding slots have empty momentum columns and zero eigenvector rows
+    assert eb.F[:, ~valid].nnz == 0
+    assert not u.reshape(-1, u.shape[2])[~valid].any()
+
+
+def test_non_ring_basis_is_one_identity_block():
+    # a path is not closed under rotation: F = I and one full eigh block
+    basis = ss.enumerate_subspace(ss.make_graph(8, [(i, i + 1) for i in range(7)]))
+    gen = ctqw.build_generator(basis)
+    eb = gen.eig()
+    assert eb.sizes.tolist() == [len(basis)] == [ctqw.largest_block(basis)]
+    assert (eb.F != scipy.sparse.identity(len(basis))).nnz == 0
+    w, v = _dense_eigenpairs(eb)
+    assert np.abs((v * w) @ v.T - gen.dense()).max() < 1e-12
+    rng = np.random.default_rng(8)
+    psi = ctqw.StateVector(basis, rng.normal(size=len(basis)) + 0j)
+    a = ctqw.evolve_walk(psi, gen, 1.3, method="dense").amplitudes
+    b = ctqw.evolve_walk(psi, gen, 1.3, method="krylov").amplitudes
+    assert np.linalg.norm(a - b) < 1e-10
+
+
+def test_largest_block_fits_dense_cutoff_up_to_ring_20():
+    # the product objective leaves Krylov while the largest momentum block
+    # fits DENSE_CUTOFF: ring 16 (|V| = 2207) has blocks of at most 282
+    def largest(n):
+        return ctqw.largest_block(ss.enumerate_subspace(ss.ring_graph(n)))
+    assert largest(16) == 282
+    assert largest(20) <= ctqw.DENSE_CUTOFF < largest(21)
 
 
 def test_evolution_unitary():

@@ -57,10 +57,11 @@ def test_chain_beta_plus_is_sqrt_ones():
         assert model.beta_plus == pytest.approx(np.sqrt(target.count("1")))
 
 
-@pytest.mark.parametrize("n", range(5, 11))
+@pytest.mark.parametrize("n", range(5, 17))
 def test_eigenbasis_evaluation_matches_propagation(n):
-    # the optimizer's objective runs these dense-path rings in the eigenbasis
-    # of G; run_ansatz propagates the same schedule in the subspace basis
+    # the optimizer's objective runs these rings in the factored momentum
+    # eigenbasis of G; run_ansatz propagates the same schedule in the
+    # subspace basis (Krylov is the independent oracle)
     basis, gen = _setup(n)
     rng = np.random.default_rng(n)
     literal = int(rng.choice(basis.states[1:]))
@@ -74,6 +75,19 @@ def test_eigenbasis_evaluation_matches_propagation(n):
                 psi = ctqw.run_ansatz(sched, gen, method=method)
                 ref = ctqw.success_probability(psi, [basis.index_of(z)])
                 assert got == pytest.approx(ref, abs=1e-10)
+
+
+def test_ring_16_objective_stays_in_the_eigenbasis(monkeypatch):
+    # the largest momentum block (282), not |V| = 2207 > DENSE_CUTOFF,
+    # decides: ring 16's objective never propagates with Krylov
+    def no_krylov(*args, **kwargs):
+        raise AssertionError("Krylov propagation in the product objective")
+
+    monkeypatch.setattr(pp, "evaluate_product", no_krylov)
+    monkeypatch.setattr(ctqw, "expm_krylov", no_krylov)
+    basis, gen = _setup(16)
+    z = ss.str_to_bits(ss.half_target(16))
+    assert 0.0 <= pp._product_success(basis, gen, z, 2)(0.3, 0.6) <= 1.0
 
 
 @pytest.mark.parametrize("row", _rows(9), ids=lambda r: f"n{r[0]}-{r[2]}-p{r[3]}")

@@ -25,6 +25,17 @@ def test_popcount_matches_builtin(z):
     assert ss.popcount(z) == bin(z).count("1")
 
 
+@pytest.mark.parametrize("native", [True, False])
+def test_popcount_array_matches_scalar(native, monkeypatch):
+    # numpy >= 2 counts natively; the shift loop serves numpy 1.x
+    if not native:
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+    states = ss.enumerate_subspace(ss.ring_graph(16)).states
+    got = ss.popcount_array(states)
+    assert got.dtype == np.int64
+    assert got.tolist() == [ss.popcount(int(s)) for s in states]
+
+
 @pytest.mark.parametrize("n,count", sorted(RING_COUNTS.items()))
 def test_ring_subspace_sizes(n, count):
     basis = ss.enumerate_subspace(ss.ring_graph(n))
