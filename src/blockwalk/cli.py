@@ -418,12 +418,14 @@ def _run_instance(task: dict) -> dict:
 
 def _collect(future, task: dict) -> dict:
     """A pool task's row; a task whose worker raised or died (the pool then
-    fails every task it still held) becomes that instance's error row."""
+    fails every task it still held) becomes that instance's error row, with
+    runtime 0 since no worker reported one."""
     try:
         return future.result()
     except Exception as exc:
         return {"ring": task["ring"], "target_spec": task["target"],
-                "depth": task["depth"], "error": f"{type(exc).__name__}: {exc}"}
+                "depth": task["depth"], "error": f"{type(exc).__name__}: {exc}",
+                "runtime_s": 0.0}
 
 
 def _instance_tasks(cfg: dict) -> list:

@@ -65,6 +65,7 @@ class WalkGenerator:
         self.basis = basis
         self.matrix = matrix
         self._eig = None
+        self._sectors = None
 
     @property
     def dim(self) -> int:
@@ -82,6 +83,13 @@ class WalkGenerator:
         if self._eig is None:
             self._eig = _momentum_eigenbasis(self)
         return self._eig
+
+    def sectors(self) -> tuple:
+        """Cached rotation sectors of the basis (``_rotation_sectors``): the
+        momentum block sizes and the orbit data the eigenbasis is built from."""
+        if self._sectors is None:
+            self._sectors = _rotation_sectors(self.basis)
+        return self._sectors
 
 
 @dataclass(frozen=True)
@@ -170,16 +178,15 @@ def _rotation_sectors(basis: SubspaceBasis):
     return n, orbit, position, period, admits, pair, sizes
 
 
-def largest_block(basis: SubspaceBasis) -> int:
-    """Size of the largest momentum block of the basis's walk generator."""
-    return int(_rotation_sectors(basis)[-1].max())
+def largest_block(gen: WalkGenerator) -> int:
+    """Size of the largest momentum block of the walk generator."""
+    return int(gen.sectors()[-1].max())
 
 
 def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
     """Momentum columns F in one vectorised pass, then eigh of each
     diagonal block of F^T G F."""
-    n, orbit, position, period, admits, pair, sizes = \
-        _rotation_sectors(gen.basis)
+    n, orbit, position, period, admits, pair, sizes = gen.sectors()
     b = int(sizes.max())
     count = admits.sum(axis=1)
     rank = np.cumsum(admits, axis=1) - 1

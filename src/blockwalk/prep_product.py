@@ -5,10 +5,10 @@ string into a part that preserves the phasor's +1 eigenspace and a part that
 couples out of it.  Norms of the two parts acting on the all-zeros state give
 an effective two-parameter chain model whose closed-form optimum seeds a
 Nelder-Mead refinement of the exact success probability.  Each pi-phasor layer
-is the split's sign operator, so when the walk generator's momentum blocks
-are small enough for a dense decomposition the success probability is
-evaluated in its factored eigenbasis, V = F blockdiag(U_k), without forming
-V; larger blocks propagate the schedule with Krylov steps.
+is the split's sign operator, so while the walk generator's largest momentum
+block is at most ``EIGEN_BLOCK_CUTOFF`` (rings up to 18) the success
+probability is evaluated in its factored eigenbasis, V = F blockdiag(U_k),
+without forming V; larger blocks propagate the schedule with Krylov steps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from .ctqw import (
-    DENSE_CUTOFF,
     AnsatzSchedule,
     WalkGenerator,
     largest_block,
@@ -46,6 +45,11 @@ MAX_EVALS = 500
 MAX_DEPTH = 5
 SIMPLEX_SCALE = 0.05
 CONVERGENCE_TOL = 1e-6
+# Largest momentum block for which the objective decomposes G: the measured
+# crossover of optimize_product (half target, depths 1-2, one BLAS thread).
+# Ring 18 (block 654) runs 1.5x faster factored than with Krylov; ring 19
+# (block 984) runs 1.4-1.6x slower factored and needs 2.6x the peak memory.
+EIGEN_BLOCK_CUTOFF = 800
 
 
 @dataclass(frozen=True)
@@ -107,11 +111,13 @@ def split_generator(gen: WalkGenerator, z_star: int) -> SubspaceSplit:
         raise ValueError(f"target state {z_star:b} not in subspace")
     mask = (~z_star) & ((1 << basis.n_bits) - 1)
     signs = 1.0 - 2.0 * (popcount_array(basis.states & np.uint64(mask)) % 2)
-    g = gen.matrix.tocsr()
-    u = sp.diags(signs)
-    conj = (u @ g @ u).tocsr()
-    g_plus = ((g + conj) * 0.5).tocsr()
-    g_minus = ((g - conj) * 0.5).tocsr()
+    # (G +- S G S) / 2 keeps the entries of G whose endpoints have equal
+    # (for G_plus) or opposite (for G_minus) signs
+    g = gen.matrix.tocoo()
+    same = signs[g.row] == signs[g.col]
+    g_plus, g_minus = (
+        sp.csr_matrix((g.data[m], (g.row[m], g.col[m])), shape=g.shape)
+        for m in (same, ~same))
     return SubspaceSplit(
         basis=basis, target=z_star, signs=signs, g_plus=g_plus, g_minus=g_minus
     )
@@ -233,17 +239,18 @@ def _product_success(
     """Success probability of the depth-p pi-phasor schedule as a function
     ``success(tau0, tau1)``.
 
-    Every pi-phasor layer is the sign operator S of the split.  When the
-    generator's largest momentum block fits ``DENSE_CUTOFF``, the schedule
-    runs in the factored eigenbasis G = V diag(w) V^T, V = F blockdiag(U_k)
-    (``ctqw.Eigenbasis``): the coefficients start as the all-zeros row of V
-    times exp(-i tau0 w), each layer is c <- exp(-i tau1 w) V^T (S V c), and
-    the amplitude on the target is its row of V dotted with the
-    coefficients.  V is applied as one sparse product and one batched block
-    product each way and is never formed.  Larger blocks propagate the
-    schedule with Krylov steps (``evaluate_product``).
+    Every pi-phasor layer is the sign operator S of the split.  While the
+    generator's largest momentum block is at most ``EIGEN_BLOCK_CUTOFF``,
+    the schedule runs in the factored eigenbasis G = V diag(w) V^T,
+    V = F blockdiag(U_k) (``ctqw.Eigenbasis``): the coefficients start as
+    the all-zeros row of V times exp(-i tau0 w), each layer is
+    c <- exp(-i tau1 w) V^T (S V c), and the amplitude on the target is its
+    row of V dotted with the coefficients.  V is applied as one sparse
+    product and one batched block product each way and is never formed.
+    Larger blocks evaluate each point with ``evaluate_product``, which takes
+    Krylov steps on every ring above the cutoff.
     """
-    if largest_block(basis) > DENSE_CUTOFF:
+    if largest_block(gen) > EIGEN_BLOCK_CUTOFF:
         return functools.partial(evaluate_product, basis, gen, z_star, p)
 
     if split is None:

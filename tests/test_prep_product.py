@@ -65,9 +65,12 @@ def test_eigenbasis_evaluation_matches_propagation(n):
     basis, gen = _setup(n)
     rng = np.random.default_rng(n)
     literal = int(rng.choice(basis.states[1:]))
+    # rings 5-10 cover every depth; on larger rings, where the Krylov oracle
+    # dominates the cost, one and several layers suffice
+    depths = range(1, 6) if n <= 10 else (1, 4)
     for z in (ss.str_to_bits(ss.half_target(n)),
               ss.str_to_bits(ss.mis_target(n)), literal):
-        for p in range(1, 6):
+        for p in depths:
             tau0, tau1 = rng.uniform(0.05, 2.0, size=2)
             got = pp._product_success(basis, gen, z, p)(tau0, tau1)
             sched = pp.product_schedule(tau0, tau1, p, n, z)
@@ -88,6 +91,45 @@ def test_ring_16_objective_stays_in_the_eigenbasis(monkeypatch):
     basis, gen = _setup(16)
     z = ss.str_to_bits(ss.half_target(16))
     assert 0.0 <= pp._product_success(basis, gen, z, 2)(0.3, 0.6) <= 1.0
+
+
+def test_eigen_block_cutoff_falls_between_rings_18_and_19():
+    # the objective decomposes G while its largest momentum block is at most
+    # EIGEN_BLOCK_CUTOFF: ring 16 (|V| = 2207) has blocks of at most 282,
+    # and the cutoff sits at the measured crossover between rings 18 and 19
+    def largest(n):
+        return ctqw.largest_block(_setup(n)[1])
+    assert largest(16) == 282
+    assert largest(18) <= pp.EIGEN_BLOCK_CUTOFF < largest(19)
+
+
+def test_objective_above_block_cutoff_propagates_with_krylov(monkeypatch):
+    # above the cutoff the objective never decomposes G; on ring 16
+    # (|V| = 2207 > DENSE_CUTOFF) it propagates the schedule with Krylov and
+    # agrees with the factored objective
+    basis, gen = _setup(16)
+    z = ss.str_to_bits(ss.half_target(16))
+    factored = pp._product_success(basis, gen, z, 2)
+
+    def no_eig(self):
+        raise AssertionError("eigendecomposition above the block cutoff")
+
+    calls = []
+
+    def counted_krylov(*args, **kwargs):
+        calls.append(1)
+        return expm_krylov(*args, **kwargs)
+
+    expm_krylov = ctqw.expm_krylov
+    fresh = ctqw.build_generator(basis)
+    monkeypatch.setattr(pp, "EIGEN_BLOCK_CUTOFF", ctqw.largest_block(fresh) - 1)
+    monkeypatch.setattr(ctqw.WalkGenerator, "eig", no_eig)
+    monkeypatch.setattr(ctqw, "expm_krylov", counted_krylov)
+    krylov = pp._product_success(basis, fresh, z, 2)
+    for tau0, tau1 in ((0.3, 0.6), (1.1, 0.2)):
+        assert krylov(tau0, tau1) == pytest.approx(factored(tau0, tau1),
+                                                   abs=1e-10)
+    assert len(calls) == 2 * 3
 
 
 @pytest.mark.parametrize("row", _rows(9), ids=lambda r: f"n{r[0]}-{r[2]}-p{r[3]}")
