@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -365,51 +366,76 @@ def _merged_config(raw: dict) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _stage(row: dict, name: str):
+    """Time one pipeline stage into ``row["stage_s"]``; an exception leaving
+    it names the stage as ``row["failed_stage"]``."""
+    t = time.perf_counter()
+    try:
+        yield
+    except Exception:
+        row["failed_stage"] = name
+        raise
+    finally:
+        row["stage_s"][name] = round(time.perf_counter() - t, 3)
+
+
 def _run_instance(task: dict) -> dict:
-    """One (ring, target, depth) pipeline instance; pure, worker-safe."""
+    """One (ring, target, depth) pipeline instance; pure, worker-safe.
+
+    Stages: prepare (subspace, generator and ansatz), compile, emulate, and
+    mitigate (shot sampling, EM fit and bootstrap).
+    """
     t_start = time.perf_counter()
     cfg = task["config"]
     n, target_spec, depth = task["ring"], task["target"], task["depth"]
-    out: dict = {"ring": n, "target_spec": target_spec, "depth": depth}
+    out: dict = {"ring": n, "target_spec": target_spec, "depth": depth,
+                 "stage_s": {}}
     try:
-        target, z, basis, gen = _ring_problem(n, target_spec)
-        out["target"] = target
-        out["subspace_size"] = len(basis)
-        if cfg["ansatz"] == "product":
-            res = prep_product.optimize_product(basis, gen, z, depth)
-            sched = prep_product.product_schedule(
-                res.tau0, res.tau1, depth, n, z)
-            out.update(tau0=res.tau0, tau1=res.tau1, j_eff=res.j_eff,
-                       success=res.success, evaluations=res.evaluations,
-                       converged=res.converged)
-        else:
-            orbit = subspace.dihedral_orbit(z, n)
-            plan = prep_bracelet.prepare_bracelet(gen, orbit)
-            sched = prep_bracelet.bracelet_schedule(plan)
-            out.update(tau_eff=plan.tau_tot, depth=plan.p,
-                       success=plan.success, evaluations=plan.evaluations,
-                       converged=plan.converged)
+        with _stage(out, "prepare"):
+            target, z, basis, gen = _ring_problem(n, target_spec)
+            out["target"] = target
+            out["subspace_size"] = len(basis)
+            if cfg["ansatz"] == "product":
+                res = prep_product.optimize_product(basis, gen, z, depth)
+                sched = prep_product.product_schedule(
+                    res.tau0, res.tau1, depth, n, z)
+                out.update(tau0=res.tau0, tau1=res.tau1, j_eff=res.j_eff,
+                           success=res.success, evaluations=res.evaluations,
+                           converged=res.converged)
+            else:
+                orbit = subspace.dihedral_orbit(z, n)
+                plan = prep_bracelet.prepare_bracelet(gen, orbit)
+                sched = prep_bracelet.bracelet_schedule(plan)
+                out.update(tau_eff=plan.tau_tot, depth=plan.p,
+                           success=plan.success, evaluations=plan.evaluations,
+                           converged=plan.converged)
         if "rydberg" in cfg["backends"] or "shots" in cfg["backends"]:
             emu = cfg["emulation"]
-            program = rydberg.compile_program(
-                sched, n, scale=emu["scale"], row_snap=emu["row_snap"])
-            full = rydberg.emulate(program, max_step=emu["max_step"])
-            summary = _emulation_summary(full, basis, z)
+            with _stage(out, "compile"):
+                program = rydberg.compile_program(
+                    sched, n, scale=emu["scale"], row_snap=emu["row_snap"])
+            with _stage(out, "emulate"):
+                full = rydberg.emulate(program, max_step=emu["max_step"])
+                summary = _emulation_summary(full, basis, z)
             out["emulation_success"] = summary["success"]
             out["leakage"] = summary["leakage"]
             out["warnings"] = list(program.waveform.warnings)
             if "shots" in cfg["backends"]:
-                seed = cfg["seed"] + task["index"]
-                ch = cfg["channel"]
-                shot_set = rydberg.sample_shots(
-                    full, n, cfg["shots"], p00=ch["p00"], p11=ch["p11"],
-                    seed=seed)
-                channel = mitigation.ReadoutChannel(**ch)
-                rec = mitigation.reconstruct_with_ci(
-                    shot_set, basis, channel, z,
-                    resamples=200, seed=seed)
+                with _stage(out, "mitigate"):
+                    seed = cfg["seed"] + task["index"]
+                    ch = cfg["channel"]
+                    shot_set = rydberg.sample_shots(
+                        full, n, cfg["shots"], p00=ch["p00"], p11=ch["p11"],
+                        seed=seed)
+                    channel = mitigation.ReadoutChannel(**ch)
+                    rec = mitigation.reconstruct_with_ci(
+                        shot_set, basis, channel, z,
+                        resamples=200, seed=seed)
                 out.update(em_estimate=rec.point, em_ci_low=rec.ci_low,
-                           em_ci_high=rec.ci_high, shots_seed=seed)
+                           em_ci_high=rec.ci_high, shots_seed=seed,
+                           em_iterations=rec.model.iterations,
+                           em_converged=rec.model.converged)
     except Exception as exc:  # isolate per-instance failures
         out["error"] = f"{type(exc).__name__}: {exc}"
     out["runtime_s"] = round(time.perf_counter() - t_start, 3)
@@ -517,8 +543,9 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
         },
         "instances": [
             {k: r.get(k) for k in
-             ("ring", "target_spec", "depth", "runtime_s", "evaluations",
-              "converged", "leakage", "warnings", "error")
+             ("ring", "target_spec", "depth", "runtime_s", "stage_s",
+              "evaluations", "converged", "leakage", "warnings",
+              "em_iterations", "em_converged", "error", "failed_stage")
              if k in r}
             for r in results
         ],

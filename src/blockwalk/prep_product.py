@@ -47,8 +47,8 @@ SIMPLEX_SCALE = 0.05
 CONVERGENCE_TOL = 1e-6
 # Largest momentum block for which the objective decomposes G: the measured
 # crossover of optimize_product (half target, depths 1-2, one BLAS thread).
-# Ring 18 (block 654) runs 1.5x faster factored than with Krylov; ring 19
-# (block 984) runs 1.4-1.6x slower factored and needs 2.6x the peak memory.
+# Ring 18 (block 654) runs 1.1-1.2x faster factored than with Krylov; ring 19
+# (block 984) runs 2-2.5x slower factored and needs 2.6x the peak memory.
 EIGEN_BLOCK_CUTOFF = 800
 
 

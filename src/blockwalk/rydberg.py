@@ -407,8 +407,13 @@ def emulate(program: RydbergProgram, max_step: float = 1e-3) -> np.ndarray:
     - otherwise (ramps): the second-order midpoint exponential rule at steps
       of at most ``max_step`` (1 ns default), each step by ``expm_krylov``.
 
-    The midpoint rule is exact on the first two kinds, so all three agree
-    with midpoint stepping to rounding; only the ramps carry its step error.
+    ``expm_krylov`` is the walk's lean Lanczos propagator: a three-term
+    recurrence without reorthogonalisation whose error estimate is checked
+    from the 6th vector on, so a 1 ns ramp step stops at the first converged
+    vector (6 to 9 vectors on 12 atoms) and a 50 ns plateau takes one step
+    of 52 to 56.  The midpoint rule is exact on the first two kinds, so all
+    three agree with midpoint stepping to rounding; only the ramps carry its
+    step error.
     """
     n = program.layout.n_atoms
     if n > MAX_EMULATED_ATOMS:

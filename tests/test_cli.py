@@ -197,7 +197,15 @@ def test_config_schema_is_valid():
     cli.CONFIG_VALIDATOR.check_schema(cli.CONFIG_SCHEMA)
 
 
-def test_run_manifest_records_emulation_diagnostics(tmp_path):
+def _stages_fit_runtime(inst, names):
+    stages = inst["stage_s"]
+    assert list(stages) == names
+    assert all(t >= 0.0 for t in stages.values())
+    # each stage and the runtime are rounded to the millisecond
+    assert sum(stages.values()) <= inst["runtime_s"] + 0.0005 * (len(names) + 1)
+
+
+def test_run_manifest_records_emulation_diagnostics(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**CONFIG, "rings": [5, 6],
                                "backends": ["ctqw", "rydberg"],
@@ -214,12 +222,37 @@ def test_run_manifest_records_emulation_diagnostics(tmp_path):
         # every product pi-phase layer needs two local triangles
         assert len(inst["warnings"]) == 1
         assert "split into 2 triangles" in inst["warnings"][0]
+        _stages_fit_runtime(inst, ["prepare", "compile", "emulate"])
+        assert "failed_stage" not in inst and "em_iterations" not in inst
     # walk-only instances carry no emulation diagnostics
     cfg.write_text(json.dumps(CONFIG))
     assert run(["run", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 0
     walk_only = json.loads((tmp_path / "o2" / "manifest.json").read_text())
     for inst in walk_only["instances"]:
         assert "leakage" not in inst and "warnings" not in inst
+        _stages_fit_runtime(inst, ["prepare"])
+    # shots instances record the full-data EM fit's solver facts
+    cfg.write_text(json.dumps({**CONFIG, "rings": [4],
+                               "backends": ["ctqw", "rydberg", "shots"],
+                               "shots": 300}))
+    assert run(["run", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 0
+    shots = json.loads((tmp_path / "o3" / "manifest.json").read_text())
+    (inst,) = shots["instances"]
+    _stages_fit_runtime(inst, ["prepare", "compile", "emulate", "mitigate"])
+    assert isinstance(inst["em_iterations"], int) and inst["em_iterations"] > 0
+    assert inst["em_converged"] is True
+
+    # a failing stage is named, and the stages before it keep their times
+    def broken(*args, **kwargs):
+        raise RuntimeError("emulator down")
+
+    monkeypatch.setattr(cli.rydberg, "emulate", broken)
+    assert run(["run", "--config", str(cfg), "--out", str(tmp_path / "o4")]) == 2
+    failed = json.loads((tmp_path / "o4" / "manifest.json").read_text())
+    (inst,) = failed["instances"]
+    assert inst["failed_stage"] == "emulate"
+    assert "emulator down" in inst["error"]
+    _stages_fit_runtime(inst, ["prepare", "compile", "emulate"])
 
 
 def test_tracer_keeps_rydberg_kernel_leaf_live(tmp_path, monkeypatch):

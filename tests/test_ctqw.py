@@ -129,6 +129,33 @@ def test_expm_krylov_matches_expm_small_dims():
             assert np.linalg.norm(got - ref) < 1e-10
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_lean_lanczos_matches_eigendecomposition_on_ring_walks(n):
+    # against the dense path, G's momentum-blocked eigendecomposition.  The
+    # Lanczos basis is not reorthogonalised: from |0...0> the ring-12 Krylov
+    # space exhausts its 26-state dihedral sector, and at tau = 10 ring 16
+    # splits its steps, both where orthogonality is long lost
+    basis, gen = _setup(n)
+    rng = np.random.default_rng(n)
+    rand = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return gen.matvec(x)
+
+    for psi in (ctqw.zero_state(basis).amplitudes, rand / np.linalg.norm(rand)):
+        for tau in (0.3, 1.0, 3.0, 10.0):
+            ref = ctqw.evolve_walk(ctqw.StateVector(basis, psi), gen, tau,
+                                   method="dense").amplitudes
+            for tol, bound in ((1e-10, 1e-10), (1e-13, 1e-12)):
+                calls.clear()
+                got = ctqw.expm_krylov(matvec, psi, tau, tol=tol)
+                assert np.linalg.norm(got - ref) < bound
+    # the last propagation (random start, tau = 10, tol 1e-13) took split steps
+    assert len(calls) > 2 * ctqw.KRYLOV_DIM
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.01, max_value=2.0),
        st.floats(min_value=0.01, max_value=2.0))

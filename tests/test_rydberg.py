@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blockwalk import ctqw, prep_product as pp, rydberg as ry, subspace as ss
+from blockwalk import ctqw, kernels, prep_product as pp, rydberg as ry
+from blockwalk import subspace as ss
 
 C = ry.PhysicalConstants()
 
@@ -365,6 +366,71 @@ def test_emulate_hamming_phase_jumps_match_dense_midpoint_oracle():
     ref = _dense_midpoint_oracle(prog, max_step)
     assert np.linalg.norm(psi - ref) < 1e-10
     assert abs(psi[0]) < 0.99
+
+
+def _ring_plateau(n):
+    """The ring's (scale 0.8) Rydberg Hamiltonian at full drive: the kernel
+    matvec, the list its calls append to, and the dense matrix."""
+    dist = ry.ring_layout(n, scale=0.8).pair_distances()
+    dim = 1 << n
+    bits = (np.arange(dim)[:, None] >> np.arange(n)) & 1
+    vdw = sum(C.c6 / dist[i, j] ** 6 * bits[:, i] * bits[:, j]
+              for i in range(n) for j in range(i + 1, n))
+    h = np.diag(vdw).astype(complex)
+    idx = np.arange(dim)
+    for i in range(n):
+        h[idx, idx ^ (1 << i)] = 0.5 * C.omega_max
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return kernels.rydberg_apply(x, vdw, C.omega_max, 0.0, n)
+    return matvec, calls, h
+
+
+def test_krylov_plateau_step_on_ten_atoms_matches_expm():
+    # a 40 ns plateau is one Lanczos step of more than 40 vectors; by the
+    # 40th the unreorthogonalised basis is off orthogonal by ~5e-2
+    matvec, calls, h = _ring_plateau(10)
+    psi = np.zeros(1 << 10, dtype=complex)
+    psi[0] = 1.0
+    got = ctqw.expm_krylov(matvec, psi, 0.04)
+    assert 40 <= len(calls) <= ctqw.KRYLOV_DIM
+    ref = scipy.linalg.expm(-1j * 0.04 * h) @ psi
+    assert np.linalg.norm(got - ref) < 1e-12
+
+
+def test_krylov_step_closes_on_ring_rotation_sector():
+    # from |0...0> the ring-5 Hamiltonian only reaches the 8 rotation-
+    # symmetric states (one per rotation orbit); with ||H|| tau ~ 250 the
+    # step converges at 8 vectors only because the Krylov space closes there
+    matvec, calls, h = _ring_plateau(5)
+    psi = np.zeros(1 << 5, dtype=complex)
+    psi[0] = 1.0
+    got = ctqw.expm_krylov(matvec, psi, 0.5)
+    assert len(calls) == 8
+    ref = scipy.linalg.expm(-1j * 0.5 * h) @ psi
+    assert np.linalg.norm(got - ref) < 1e-12
+
+
+def test_emulation_kernel_calls_stay_bounded(monkeypatch):
+    # the Krylov error estimate is checked at every vector from the 6th to
+    # the 16th, so a 1 ns ramp step stops at its first converged vector.
+    # 1699 calls measured with that cadence; checking every 4th vector
+    # instead makes it 1992
+    z = ss.str_to_bits(ss.half_target(6))
+    prog = ry.compile_program(pp.product_schedule(0.95, 0.85, 1, 6, z), 6,
+                              scale=0.8)
+    calls = []
+    apply = kernels.rydberg_apply
+
+    def counted(*args):
+        calls.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(kernels, "rydberg_apply", counted)
+    ry.emulate(prog)
+    assert len(calls) <= 1720
 
 
 def test_single_pulse_leakage_guard_compressed():
