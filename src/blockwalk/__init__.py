@@ -7,14 +7,3 @@ and scaling analysis.
 """
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    analysis,
-    ctqw,
-    kernels,
-    mitigation,
-    prep_bracelet,
-    prep_product,
-    rydberg,
-    subspace,
-)

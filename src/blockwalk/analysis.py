@@ -151,13 +151,12 @@ def quench_coherent(
     gen: WalkGenerator,
     tau_grid: Sequence[float],
     target_indices: Sequence[int],
-    method: str = "auto",
 ) -> np.ndarray:
     """Evolve the prepared state and record target population at each tau."""
     idx = np.asarray(target_indices, dtype=int)
     out = np.empty(len(tau_grid))
     for i, tau in enumerate(tau_grid):
-        evolved = evolve_walk(state, gen, float(tau), method)
+        evolved = evolve_walk(state, gen, float(tau))
         out[i] = _target_population(evolved.amplitudes, idx)
     return out
 
@@ -167,16 +166,12 @@ def quench_incoherent(
     gen: WalkGenerator,
     tau_grid: Sequence[float],
     target_indices: Sequence[int],
-    weights: Optional[Sequence[float]] = None,
-    method: str = "auto",
 ) -> np.ndarray:
-    """Average the population traces of each mixture member (exact mixture)."""
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
-    weights = np.asarray(weights, dtype=float)
+    """Average the population traces of the equal-weight mixture members."""
+    w = 1.0 / len(members)
     total = np.zeros(len(tau_grid))
-    for w, member in zip(weights, members):
-        total += w * quench_coherent(member, gen, tau_grid, target_indices, method)
+    for member in members:
+        total += w * quench_coherent(member, gen, tau_grid, target_indices)
     return total
 
 
@@ -185,15 +180,13 @@ def quench_density_matrix(
     gen: WalkGenerator,
     tau_grid: Sequence[float],
     target_indices: Sequence[int],
-    weights: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Oracle: evolve the mixture as a dense density matrix."""
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
+    """Oracle: evolve the equal-weight mixture as a dense density matrix."""
+    w = 1.0 / len(members)
     basis = members[0].basis
     dim = len(basis)
     rho0 = np.zeros((dim, dim), dtype=complex)
-    for w, member in zip(weights, members):
+    for member in members:
         rho0 += w * np.outer(member.amplitudes, member.amplitudes.conj())
     g = gen.dense()
     evals, evecs = np.linalg.eigh(g)

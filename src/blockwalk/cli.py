@@ -176,14 +176,20 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _ring_problem(n: int, spec: str) -> tuple:
-    """(target string, target bits, basis, walk generator) for the n-ring."""
+def _ring_target(n: int, spec: str) -> tuple:
+    """(target string, target bits) for the n-ring, if an independent set."""
     target = resolve_target(n, spec)
     z = subspace.str_to_bits(target)
-    basis = subspace.enumerate_subspace(subspace.ring_graph(n))
-    if z not in basis:
+    if z & subspace.rotate_bits(z, n, 1):
         raise ValidationFailure(
             f"target {target} is not an independent set of the {n}-ring")
+    return target, z
+
+
+def _ring_problem(n: int, spec: str) -> tuple:
+    """(target string, target bits, basis, walk generator) for the n-ring."""
+    target, z = _ring_target(n, spec)
+    basis = subspace.enumerate_subspace(subspace.ring_graph(n))
     return target, z, basis, ctqw.build_generator(basis)
 
 
@@ -358,11 +364,7 @@ def _merged_config(raw: dict) -> dict:
             f"pulse emulation supports rings up to {rydberg.MAX_EMULATED_ATOMS}")
     for n in cfg["rings"]:
         for spec in cfg["targets"]:
-            target = resolve_target(n, spec)
-            z = subspace.str_to_bits(target)
-            if z & subspace.rotate_bits(z, n, 1):
-                raise ValidationFailure(
-                    f"target {target} is not an independent set of the {n}-ring")
+            _ring_target(n, spec)
     return cfg
 
 

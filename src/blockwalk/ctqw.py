@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .subspace import SubspaceBasis, popcount_array, walk_edges
+from .subspace import SubspaceBasis, popcount_array, rotation_images, walk_edges
 
 DENSE_CUTOFF = 2048
 KRYLOV_DIM = 60        # Lanczos vectors per Krylov step at most
@@ -155,11 +155,9 @@ def _rotation_sectors(basis: SubspaceBasis):
     basis that is not closed under rotation is treated as N = 1: every state
     its own orbit, one block.
     """
-    s = basis.states.astype(np.uint64)
-    n = basis.n_bits
-    shifts = np.arange(n, dtype=np.uint64)[:, None]
-    rots = ((s << shifts) | (s >> (np.uint64(n) - shifts))) \
-        & np.uint64((1 << n) - 1)
+    s = basis.states
+    rots = rotation_images(basis)
+    n = len(rots)
     if not np.array_equal(np.sort(rots[-1]), s):
         n, rots = 1, s[None, :]
     first = rots.argmin(axis=0)
@@ -217,18 +215,10 @@ def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
 
 def build_generator(basis: SubspaceBasis) -> WalkGenerator:
     """Unit-weight real generator over all Hamming-distance-1 pairs in the basis."""
-    edges = walk_edges(basis)
+    a, b = walk_edges(basis)
     n = len(basis)
-    if edges:
-        rows = np.fromiter((e[0] for e in edges), dtype=np.int64)
-        cols = np.fromiter((e[1] for e in edges), dtype=np.int64)
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-    vals = np.ones(len(edges))
     m = sp.coo_matrix(
-        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]),
-                                        np.concatenate([cols, rows]))),
+        (np.ones(2 * len(a)), (np.concatenate([a, b]), np.concatenate([b, a]))),
         shape=(n, n),
     ).tocsr()
     return WalkGenerator(basis, m)

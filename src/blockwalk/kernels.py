@@ -102,20 +102,15 @@ def rydberg_apply(psi, diag, omega, phi, n_atoms):
 
 
 # ---------------------------------------------------------------------------
-# Independent-set enumeration by depth-first extension over vertices with
-# neighbour masks; avoids filtering all 2^N strings.
+# Independent-set enumeration, vertex by vertex: the sets on vertices 0..v are
+# those on 0..v-1, then, v added, those of them free of v's neighbours.  The
+# added sets exceed the earlier ones in order, so the array stays ascending.
 
 def enumerate_independent_sets(neighbor_masks, n):
     """All independent-set bitmasks of a graph, ascending integer order."""
     masks = np.asarray(neighbor_masks, dtype=np.uint64)
-    results = []
-    stack = [(0, 0)]  # (occupied mask, next vertex to try)
-    while stack:
-        occ, start = stack.pop()
-        results.append(occ)
-        for v in range(start, n):
-            if masks[v] & occ:
-                continue
-            stack.append((occ | (1 << v), v + 1))
-    results.sort()
-    return np.asarray(results, dtype=np.uint64)
+    sets = np.zeros(1, dtype=np.uint64)
+    for v in range(n):
+        free = sets[(sets & masks[v]) == 0]
+        sets = np.concatenate([sets, free | np.uint64(1 << v)])
+    return sets

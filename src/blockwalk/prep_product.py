@@ -279,9 +279,10 @@ def evaluate_product(
 ) -> float:
     """Success probability of the depth-p pi-phasor schedule at (tau0, tau1).
 
-    One evaluation propagates the schedule with ``run_ansatz``; only an
-    optimization, which evaluates many points, pays for the generator's
-    momentum-blocked eigendecomposition (``_product_success``).
+    One evaluation propagates the schedule with ``run_ansatz``.  Up to
+    ``ctqw.DENSE_CUTOFF`` states that is the dense propagator, so even a
+    single evaluation computes (and caches) the generator's momentum-blocked
+    eigendecomposition ``gen.eig()``; larger bases propagate by Krylov.
     """
     sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
     return success_probability(run_ansatz(sched, gen), [basis.index_of(z_star)])

@@ -8,7 +8,7 @@ index for every state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,11 +76,14 @@ def ring_graph(n: int) -> ConstraintGraph:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Ordered independent-set bitstrings with index lookup."""
+    """Independent-set bitstrings of a constraint graph, one per basis index.
+
+    ``states`` (uint64) is strictly ascending: a state's index is its rank,
+    found by binary search, so every lookup depends on that order.
+    """
 
     constraint: ConstraintGraph
-    states: np.ndarray  # uint64, strictly ascending
-    _index: dict = field(repr=False)
+    states: np.ndarray
 
     @property
     def n_bits(self) -> int:
@@ -90,49 +93,58 @@ class SubspaceBasis:
         return len(self.states)
 
     def index_of(self, state: int) -> int:
-        try:
-            return self._index[int(state)]
-        except KeyError:
+        if state not in self:
             raise KeyError(
-                "state %s not in subspace" % bits_to_str(int(state), self.n_bits)
-            ) from None
+                "state %s not in subspace" % bits_to_str(int(state), self.n_bits))
+        return int(np.searchsorted(self.states, np.uint64(state)))
 
     def __contains__(self, state: int) -> bool:
-        return int(state) in self._index
+        state = int(state)
+        return 0 <= state < 1 << 64 and bool(
+            _lookup(self.states, np.uint64(state))[1])
 
     def hamming_weights(self) -> np.ndarray:
         return popcount_array(self.states)
+
+
+def _lookup(states: np.ndarray, values):
+    """Clipped positions of uint64 ``values`` in ``states``, and membership."""
+    idx = np.minimum(np.searchsorted(states, values), len(states) - 1)
+    return idx, states[idx] == values
 
 
 def enumerate_subspace(g: ConstraintGraph) -> SubspaceBasis:
     """All independent-set bitstrings of g in ascending integer order."""
     if g.n_vertices > 63:
         raise ValueError("supported up to 63 vertices")
-    states = kernels.enumerate_independent_sets(g.neighbor_masks, g.n_vertices)
-    index = {int(s): k for k, s in enumerate(states)}
-    return SubspaceBasis(g, states, index)
+    return SubspaceBasis(
+        g, kernels.enumerate_independent_sets(g.neighbor_masks, g.n_vertices))
 
 
-def walk_edges(basis: SubspaceBasis) -> list:
-    """Sorted (a, b) index pairs with Hamming distance 1, a < b.
+def walk_edges(basis: SubspaceBasis) -> tuple:
+    """Index arrays (a, b) of the pairs with Hamming distance 1, a < b,
+    sorted by a and then b.
 
-    A Hamming-distance-1 partner differs by one bit; for pairs within the
-    subspace the larger state has one extra bit set, so it suffices to try
-    clearing each set bit of every state.
+    Within the subspace the larger state of such a pair has the one extra
+    bit set, so each bit is cleared in every state that has it and the
+    result looked up.
     """
-    out = []
-    for b, s in enumerate(basis.states):
-        s = int(s)
-        x = s
-        while x:
-            bit = x & -x
-            partner = s ^ bit
-            a = basis._index.get(partner)
-            if a is not None:
-                out.append((a, b))
-            x ^= bit
-    out.sort()
-    return out
+    s = basis.states
+    bits = np.uint64(1) << np.arange(basis.n_bits, dtype=np.uint64)
+    bit, b = np.nonzero(s & bits[:, None])
+    idx, found = _lookup(s, s[b] ^ bits[bit])
+    a, b = idx[found], b[found]
+    order = np.lexsort((b, a))
+    return a[order], b[order]
+
+
+def rotation_images(basis: SubspaceBasis) -> np.ndarray:
+    """(N, |V|) table of every state rotated left by j = 0 ... N-1 bits."""
+    s = basis.states
+    n = basis.n_bits
+    shifts = np.arange(n, dtype=np.uint64)[:, None]
+    return ((s << shifts) | (s >> (np.uint64(n) - shifts))) \
+        & np.uint64((1 << n) - 1)
 
 
 def rotate_bits(z: int, n: int, k: int = 1) -> int:
@@ -179,30 +191,34 @@ def dihedral_orbit(z: int, n: int) -> DihedralOrbit:
 
 
 def all_orbits(basis: SubspaceBasis) -> list:
-    """Partition of the subspace into dihedral orbits, by representative."""
+    """Partition of the subspace into dihedral orbits, by representative.
+
+    The basis must be closed under rotation and reflection, as a ring's is.
+    Each state's orbit representative is the least of its rotations and of
+    its mirror image's rotations, read from the rotation table.
+    """
+    s = basis.states
     n = basis.n_bits
-    seen = set()
-    orbits = []
-    for s in basis.states:
-        s = int(s)
-        if s in seen:
-            continue
-        orb = dihedral_orbit(s, n)
-        seen.update(orb.members)
-        orbits.append(orb)
-    return orbits
+    least = rotation_images(basis).min(axis=0)
+    mirror = np.zeros_like(s)
+    for i in range(n):
+        mirror |= ((s >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
+    rep = np.minimum(least, least[_lookup(s, mirror)[0]])
+    order = np.argsort(rep, kind="stable")
+    cuts = np.flatnonzero(np.diff(rep[order])) + 1
+    groups = (tuple(g.tolist()) for g in np.split(s[order], cuts))
+    return [DihedralOrbit(n, m[0], m) for m in groups]
 
 
 def bracelet_vector(orbit: DihedralOrbit, basis: SubspaceBasis) -> np.ndarray:
     """Equal-weight superposition over the orbit, as basis amplitudes."""
+    members = np.array(orbit.members, dtype=np.uint64)
+    idx, found = _lookup(basis.states, members)
+    if not found.all():
+        raise ValueError("orbit member %s not in subspace"
+                         % bits_to_str(int(members[~found][0]), basis.n_bits))
     amps = np.zeros(len(basis), dtype=complex)
-    w = 1.0 / np.sqrt(orbit.size)
-    for m in orbit.members:
-        if m not in basis:
-            raise ValueError(
-                "orbit member %s not in subspace" % bits_to_str(m, basis.n_bits)
-            )
-        amps[basis.index_of(m)] = w
+    amps[idx] = 1.0 / np.sqrt(orbit.size)
     return amps
 
 

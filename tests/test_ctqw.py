@@ -22,8 +22,17 @@ def _dense_eigenpairs(eb):
     return eb.w[valid], v[:, valid]
 
 
-def test_generator_symmetric_hamming_one():
-    basis, gen = _setup(7)
+GRAPHS = {f"ring{n}": ss.ring_graph(n) for n in range(3, 13)}
+GRAPHS["path"] = ss.make_graph(8, [(i, i + 1) for i in range(7)])
+_RNG = np.random.default_rng(3)
+GRAPHS["random"] = ss.make_graph(
+    9, [(i, j) for i in range(9) for j in range(i + 1, 9) if _RNG.random() < 0.3])
+
+
+@pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
+def test_generator_symmetric_hamming_one(graph):
+    basis = ss.enumerate_subspace(graph)
+    gen = ctqw.build_generator(basis)
     assert gen.matrix.dtype == np.float64
     m = gen.dense()
     assert np.allclose(m, m.T)

@@ -59,6 +59,11 @@ def test_states_sorted_and_indexable():
     for i, s in enumerate(states):
         assert basis.index_of(s) == i
         assert s in basis
+    # a dependent pair, a negative int and an int past uint64 are not members
+    for s in (0b11, -1, 1 << 64):
+        assert s not in basis
+        with pytest.raises(KeyError, match="not in subspace"):
+            basis.index_of(s)
 
 
 @settings(max_examples=30)
@@ -79,12 +84,16 @@ def test_orbit_closed_under_dihedral_group(n, data):
 
 
 def test_all_orbits_partition():
-    basis = ss.enumerate_subspace(ss.ring_graph(10))
-    orbits = ss.all_orbits(basis)
-    seen = []
-    for orb in orbits:
-        seen.extend(orb.members)
-    assert sorted(seen) == [int(s) for s in basis.states]
+    for n in range(3, 17):
+        basis = ss.enumerate_subspace(ss.ring_graph(n))
+        orbits = ss.all_orbits(basis)
+        seen = []
+        for orb in orbits:
+            assert orb == ss.dihedral_orbit(orb.representative, n)
+            seen.extend(orb.members)
+        assert sorted(seen) == [int(s) for s in basis.states]
+        reps = [orb.representative for orb in orbits]
+        assert reps == sorted(set(reps))
 
 
 def test_bracelet_vector_normalized_uniform():
