@@ -193,15 +193,21 @@ def _ring_problem(n: int, spec: str) -> tuple:
     return target, z, basis, ctqw.build_generator(basis)
 
 
-def _emulation_summary(full: np.ndarray, basis, z: int) -> dict:
-    """Target population of an emulated state and its blockade leakage."""
+def _emulation_summary(full: np.ndarray, basis, z: int,
+                       ideal: np.ndarray | None = None) -> dict:
+    """Target population of an emulated state and its blockade leakage;
+    given the ideal walk state's amplitudes, also the fidelity
+    |<ideal|P emulated>|^2 of the state projected onto the subspace."""
     in_sub = rydberg.project_to_subspace(full, basis)
     mass = float(np.vdot(in_sub, in_sub).real)
-    return {
+    summary = {
         "success": float(np.abs(in_sub[basis.index_of(z)]) ** 2),
         "subspace_mass": mass,
         "leakage": 1.0 - mass,
     }
+    if ideal is not None:
+        summary["fidelity"] = float(np.abs(np.vdot(ideal, in_sub)) ** 2)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +391,9 @@ def _stage(row: dict, name: str):
 def _run_instance(task: dict) -> dict:
     """One (ring, target, depth) pipeline instance; pure, worker-safe.
 
-    Stages: prepare (subspace, generator and ansatz), compile, emulate, and
-    mitigate (shot sampling, EM fit and bootstrap).
+    Stages: prepare (subspace, generator and ansatz), compile, emulate (and
+    the emulated state's fidelity to the ideal walk state), and mitigate
+    (shot sampling, EM fit and bootstrap).
     """
     t_start = time.perf_counter()
     cfg = task["config"]
@@ -419,9 +426,11 @@ def _run_instance(task: dict) -> dict:
                     sched, n, scale=emu["scale"], row_snap=emu["row_snap"])
             with _stage(out, "emulate"):
                 full = rydberg.emulate(program, max_step=emu["max_step"])
-                summary = _emulation_summary(full, basis, z)
+                ideal = ctqw.run_ansatz(sched, gen).amplitudes
+                summary = _emulation_summary(full, basis, z, ideal)
             out["emulation_success"] = summary["success"]
             out["leakage"] = summary["leakage"]
+            out["emulation_fidelity"] = summary["fidelity"]
             out["warnings"] = list(program.waveform.warnings)
             if "shots" in cfg["backends"]:
                 with _stage(out, "mitigate"):
@@ -546,8 +555,9 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
         "instances": [
             {k: r.get(k) for k in
              ("ring", "target_spec", "depth", "runtime_s", "stage_s",
-              "evaluations", "converged", "leakage", "warnings",
-              "em_iterations", "em_converged", "error", "failed_stage")
+              "evaluations", "converged", "leakage", "emulation_fidelity",
+              "warnings", "em_iterations", "em_converged", "error",
+              "failed_stage")
              if k in r}
             for r in results
         ],

@@ -5,15 +5,19 @@ The walk propagator exp(-i tau G) v is computed either from G's cached real
 eigendecomposition (small bases, and always available as a cross-check) or
 by adaptive Lanczos/Krylov iteration with sparse matrix-vector products.
 
-The eigendecomposition is blocked by ring momentum.  When the basis is closed
-under rotating the ring, G commutes with the rotation, so real cosine and
-sine combinations of each rotation orbit at momentum +-k (Sandvik, AIP Conf.
-Proc. 1297, 135, 2010) split G into about N/2 real blocks of about 2|V|/N
-states.  The eigenvectors are kept factored as V = F blockdiag(U_k): a sparse
-real matrix of momentum columns and a zero-padded stack of block
-eigenvectors, so V c and V^T x cost one sparse product and one batched block
-product in real arithmetic and V is never formed.  Any other basis is one
-block with F = I.
+The eigendecomposition is blocked by ring momentum and parity.  When the
+basis is closed under rotating the ring, G commutes with the rotation and
+with the ring's reflection, so momentum states adapted to the reflection
+(Sandvik, AIP Conf. Proc. 1297, 135, 2010) split G into about N/2 real
+blocks of about |V|/N states.  Each block with 0 < k < N/2 serves two
+copies: the real and imaginary parts of its states span two G-invariant
+subspaces on which G is the same real matrix; k = 0 and k = N/2 have one
+copy of cosine columns.  The eigenvectors are kept factored as
+V = F blockdiag(U_k (x) I_c): a sparse real matrix of momentum columns,
+ordered (block, row, copy), and a zero-padded stack of block eigenvectors,
+so V c and V^T x cost one sparse product and one batched block product in
+real arithmetic and V is never formed.  Any other basis is one block with
+F = I.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .subspace import SubspaceBasis, popcount_array, rotation_images, walk_edges
+from .subspace import (
+    SubspaceBasis,
+    mirror_indices,
+    popcount_array,
+    rotation_images,
+    walk_edges,
+)
 
 DENSE_CUTOFF = 2048
 KRYLOV_DIM = 60        # Lanczos vectors per Krylov step at most
@@ -93,20 +103,27 @@ class WalkGenerator:
 
 @dataclass(frozen=True)
 class Eigenbasis:
-    """G = V diag(w) V^T with V = F blockdiag(U[0], U[1], ...).
+    """G = V diag(w) V^T with V = F blockdiag(U[0] (x) I_c, U[1] (x) I_c, ...).
 
-    Eigen-coefficient vectors have one slot per (block, row): block k owns
-    slots k*b ... k*b + sizes[k] - 1 of ``n_blocks * b``, where b is the
-    largest block.  ``F`` (|V| x slots) holds orthonormal real momentum
-    columns; ``U[k]`` holds block k's eigenvectors, zero-padded to b x b.
-    Padding slots have empty columns in F and w = 0, so V diag(w) V^T = G
-    and they stay zero under ``to_eigen`` and ``to_states``.
+    Eigen-coefficient vectors have one slot per (block, row, copy), in that
+    order: block k owns slots (k*b + row)*c + copy for row < sizes[k] and
+    copy < copies[k], of ``n_blocks * b * c``, where b is the largest block
+    and c the most copies of any block (2 on a ring, 1 otherwise).  ``F``
+    (|V| x slots) holds orthonormal real momentum columns; each copy of
+    block k spans a G-invariant subspace on which G acts as the same real
+    sizes[k] x sizes[k] matrix, whose eigenvectors ``U[k]`` (zero-padded to
+    b x b) serve every copy.  Padding slots and missing copies have empty
+    columns in F and w = 0, so V diag(w) V^T = G and they stay zero under
+    ``to_eigen`` and ``to_states``.  In the real view of a complex
+    coefficient vector, reshaped to (n_blocks, b, 2c), one batched product
+    with U applies V's block factor to every copy at once.
     """
 
-    w: np.ndarray          # (n_blocks * b,) eigenvalues, float64
-    F: sp.csr_matrix       # (|V|, n_blocks * b) momentum columns
+    w: np.ndarray          # (n_blocks * b * c,) eigenvalues, float64
+    F: sp.csr_matrix       # (|V|, n_blocks * b * c) momentum columns
     U: np.ndarray          # (n_blocks, b, b) block eigenvectors
     sizes: np.ndarray      # (n_blocks,) block sizes
+    copies: np.ndarray     # (n_blocks,) copies of each block, 1 or 2
     ft: sp.csr_matrix      # F^T, row-compressed for V^T x
 
     def to_eigen(self, x: np.ndarray) -> np.ndarray:
@@ -128,15 +145,16 @@ class Eigenbasis:
         """c -> V^T diag(d) V c for a real diagonal d over the states.
 
         d is folded into the momentum factor once, P = F^T diag(d) F, which
-        couples only columns of one rotation orbit and so stays as sparse as
-        F; each application is then one sparse and two block products on
-        the real view of c, which must be a contiguous complex vector.
+        couples only columns of one rotation orbit or of one mirror pair of
+        orbits and so stays nearly as sparse as F; each application is then
+        one sparse and two block products on the real view of c, which must
+        be a contiguous complex vector.
         """
         ft = self.ft
         p = sp.csr_matrix((ft.data * d[ft.indices], ft.indices, ft.indptr),
                           shape=ft.shape) @ self.F
         u, ut = self.U, self.U.transpose(0, 2, 1)
-        shape = u.shape[:2] + (2,)
+        shape = u.shape[:2] + (-1,)
 
         def apply(c: np.ndarray) -> np.ndarray:
             y = p @ np.matmul(u, c.view(float).reshape(shape)).reshape(-1, 2)
@@ -145,21 +163,25 @@ class Eigenbasis:
 
 
 def _rotation_sectors(basis: SubspaceBasis):
-    """Per-state rotation orbit, orbit position and period, per-momentum
-    orbit admission, and the block sizes of G's momentum blocks.
+    """Per-state rotation orbit, orbit position, period and mirror image,
+    per-momentum orbit admission, and the block sizes of G's rotation
+    momentum blocks.
 
     Rotating left by j maps state s to T^j s.  Each orbit is labelled by
     its minimum r; s = T^m r with period L.  Momentum k (0 <= k <= N/2)
     admits an orbit when k L = 0 mod N; k = 0 and k = N/2 give one cosine
-    column per admitted orbit, every other k a cosine and a sine column.  A
-    basis that is not closed under rotation is treated as N = 1: every state
-    its own orbit, one block.
+    column per admitted orbit, every other k a cosine and a sine column.
+    ``mirror`` is the index of each state's bit reversal.  A basis that is
+    not closed under rotation is treated as N = 1: every state its own orbit
+    and its own mirror, one block.
     """
     s = basis.states
     rots = rotation_images(basis)
     n = len(rots)
-    if not np.array_equal(np.sort(rots[-1]), s):
-        n, rots = 1, s[None, :]
+    if np.array_equal(np.sort(rots[-1]), s):
+        mirror = mirror_indices(basis)
+    else:
+        n, rots, mirror = 1, s[None, :], np.arange(len(s))
     first = rots.argmin(axis=0)
     # T^n s = s always: the first j >= 1 with T^j s = s is the period
     same = np.append(rots[1:] == s, np.ones((1, len(s)), bool), axis=0)
@@ -172,45 +194,84 @@ def _rotation_sectors(basis: SubspaceBasis):
     admits = (k[:, None] * orbit_period[None, :]) % n == 0
     pair = (k > 0) & (2 * k != n)
     sizes = admits.sum(axis=1) * (1 + pair)
-    return n, orbit, position, period, admits, pair, sizes
+    return n, orbit, position, period, mirror, admits, pair, sizes
 
 
 def largest_block(gen: WalkGenerator) -> int:
-    """Size of the largest momentum block of the walk generator."""
+    """Size of the largest rotation momentum block of the walk generator
+    (cosine and sine columns of one momentum together)."""
     return int(gen.sectors()[-1].max())
 
 
 def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
-    """Momentum columns F in one vectorised pass, then eigh of each
-    diagonal block of F^T G F."""
-    n, orbit, position, period, admits, pair, sizes = gen.sectors()
-    b = int(sizes.max())
-    count = admits.sum(axis=1)
+    """Reflection-adapted momentum columns F in one vectorised pass, then
+    eigh of each block of F^T G F, read from its first copy.
+
+    With e_O the momentum-k state of rotation orbit O (minimum r, period L;
+    amplitude e^{2 pi i k m / N} / sqrt(L) on T^m r), the bit reversal R
+    maps r to T^d r' for the minimum r' of the mirror orbit O', and
+    R composed with complex conjugation maps e_O to e^{i theta} e_O' with
+    theta = -2 pi k d / N.  For 0 < k < N/2 the states fixed by that
+    antiunitary span momentum k: e^{i theta/2} e_O for an achiral orbit
+    (O' = O), and (e_O + e^{i theta} e_O') / sqrt(2) and
+    i (e_O - e^{i theta} e_O') / sqrt(2) for a chiral pair O < O'.  G is
+    real on them, so the real columns sqrt(2) Re f and sqrt(2) Im f of each
+    such state f give two copies of one real block.  k = 0 and k = N/2 keep
+    the real cosine columns of e_O, one copy.
+    """
+    n, orbit, position, period, mirror, admits, pair, _ = gen.sectors()
+    sizes = admits.sum(axis=1)
+    copies = 1 + pair
+    b, c = int(sizes.max()), int(copies.max())
     rank = np.cumsum(admits, axis=1) - 1
-    ks, rows = np.nonzero(admits[:, orbit])
-    cols = ks * b + rank[ks, orbit[rows]]
-    phase = 2.0 * np.pi * ks * position[rows] / n
-    amp = np.sqrt((1 + pair[ks]) / period[rows])
-    has_sin = pair[ks]
+    ks, states = np.nonzero(admits[:, orbit])
+    o, mo = orbit[states], orbit[mirror[states]]
+    # s = T^m r has R s = T^(d - m) r', so d is the sum of the positions of
+    # s and of its mirror image: one value on O, and the same on O' mod L
+    d = (position + position[mirror]) % period
+    theta = (-2.0 * np.pi / n) * ks * d[states]
+    paired = pair[ks]
+    chiral = paired & (o != mo)
+    lower = o < mo
+    # each state's amplitude in e_O, then in its column's state f:
+    # e^{i theta/2} e_O for an achiral orbit; for a chiral pair,
+    # (e_O + e^{i theta} e_O') / sqrt(2) at the lower orbit's row and
+    # i (e_O - e^{i theta} e_O') / sqrt(2) at the upper orbit's row
+    f = np.exp((2j * np.pi / n) * ks * position[states])
+    f /= np.sqrt(period[states])
+    f *= np.where(chiral,
+                  np.where(lower, 1.0, np.exp(1j * theta)) / np.sqrt(2.0),
+                  np.exp(0.5j * theta * paired))
+    ks = np.concatenate([ks, ks[chiral]])
+    states = np.concatenate([states, states[chiral]])
+    rows = rank[ks, np.concatenate([np.where(chiral, np.minimum(o, mo), o),
+                                    np.maximum(o, mo)[chiral]])]
+    f = np.concatenate([f, 1j * np.where(lower, 1, -1)[chiral] * f[chiral]])
+    # copy 0 holds sqrt(2) Re f and copy 1 sqrt(2) Im f; one copy holds Re f
+    f *= np.sqrt(copies[ks])
+    slot = ks * b + rows
+    two = pair[ks]
+    f0t = sp.csr_matrix((f.real, (slot, states)),
+                        shape=(len(sizes) * b, gen.dim))
     f = sp.csr_matrix(
-        (np.concatenate([amp * np.cos(phase), (amp * np.sin(phase))[has_sin]]),
-         (np.concatenate([rows, rows[has_sin]]),
-          np.concatenate([cols, (cols + count[ks])[has_sin]]))),
-        shape=(gen.dim, len(sizes) * b))
-    ft = f.T.tocsr()
-    # F^T G F is block diagonal; its entries between blocks are rounding
-    # noise.  Each block is unpacked into its slot of u and decomposed there.
-    h = ft @ gen.matrix @ f
+        (np.concatenate([f.real, f.imag[two]]),
+         (np.concatenate([states, states[two]]),
+          np.concatenate([slot * c, slot[two] * c + 1]))),
+        shape=(gen.dim, len(sizes) * b * c))
+    # F^T G F is block diagonal and equal on both copies of a block; the
+    # first copy's block is unpacked into its slot of u and decomposed
+    # there.  Entries between blocks are rounding noise.
+    h = f0t @ (gen.matrix @ f0t.T)
     row = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
     blk = row // b
     same = blk == h.indices // b
     u = np.zeros((len(sizes), b, b))
     u[blk[same], row[same] % b, h.indices[same] % b] = h.data[same]
-    w = np.zeros(len(sizes) * b)
+    w = np.zeros((len(sizes), b, c))
     for k, size in enumerate(sizes):
-        w[k * b:k * b + size], u[k, :size, :size] = \
-            np.linalg.eigh(u[k, :size, :size])
-    return Eigenbasis(w, f, u, sizes, ft)
+        wk, u[k, :size, :size] = np.linalg.eigh(u[k, :size, :size])
+        w[k, :size, :copies[k]] = wk[:, None]
+    return Eigenbasis(w.ravel(), f, u, sizes, copies, f.T.tocsr())
 
 
 def build_generator(basis: SubspaceBasis) -> WalkGenerator:

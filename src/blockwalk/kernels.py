@@ -36,9 +36,11 @@ def real_matvec(a, x):
 
 def block_matvec(a, x):
     """Stacked a[k] @ x[k] for real (n, b, b) ``a`` and a complex vector x of
-    n*b entries, in real arithmetic: one batched matrix product on the
-    (n, b, 2) real view."""
-    xr = np.ascontiguousarray(x, dtype=complex).view(float).reshape(len(a), -1, 2)
+    n*b*c entries ordered (block, row, copy), a[k] acting on each of block
+    k's c copies, in real arithmetic: one batched matrix product on the
+    (n, b, 2c) real view."""
+    xr = np.ascontiguousarray(x, dtype=complex).view(float)
+    xr = xr.reshape(len(a), a.shape[2], -1)
     return np.matmul(a, xr).view(complex).ravel()
 
 

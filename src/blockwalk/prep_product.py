@@ -7,8 +7,9 @@ an effective two-parameter chain model whose closed-form optimum seeds a
 Nelder-Mead refinement of the exact success probability.  Each pi-phasor layer
 is the split's sign operator, so while the walk generator's largest momentum
 block is at most ``EIGEN_BLOCK_CUTOFF`` (rings up to 18) the success
-probability is evaluated in its factored eigenbasis, V = F blockdiag(U_k),
-without forming V; larger blocks propagate the schedule with Krylov steps.
+probability is evaluated in its factored momentum-parity eigenbasis,
+V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``), without forming V; larger
+blocks propagate the schedule with Krylov steps.
 """
 
 from __future__ import annotations
@@ -45,10 +46,16 @@ MAX_EVALS = 500
 MAX_DEPTH = 5
 SIMPLEX_SCALE = 0.05
 CONVERGENCE_TOL = 1e-6
-# Largest momentum block for which the objective decomposes G: the measured
-# crossover of optimize_product (half target, depths 1-2, one BLAS thread).
-# Ring 18 (block 654) runs 1.1-1.2x faster factored than with Krylov; ring 19
-# (block 984) runs 2-2.5x slower factored and needs 2.6x the peak memory.
+# Largest rotation momentum block (``ctqw.largest_block``) for which the
+# objective decomposes G: the crossover of optimize_product (half target,
+# depths 1-2, one BLAS thread, one process per run) measured on the rotation
+# eigenbasis, where ring 18 (block 654) ran 1.1-1.2x faster factored than
+# with Krylov and ring 19 (block 984) 2-2.5x slower.  On the
+# reflection-adapted eigenbasis, whose eigh blocks are half as large, ring 18
+# runs 2.2-4.5x faster factored, ring 19 1.6-2.1x faster, and ring 20 (block
+# 1526) 0.6-1.2x, with factored peak memory 116, 150 and 228 MB against
+# Krylov's 88-100 MB: the crossover now lies near ring 20.  No workload runs
+# rings 19-20, so the cutoff has not been moved there.
 EIGEN_BLOCK_CUTOFF = 800
 
 
@@ -242,11 +249,12 @@ def _product_success(
     Every pi-phasor layer is the sign operator S of the split.  While the
     generator's largest momentum block is at most ``EIGEN_BLOCK_CUTOFF``,
     the schedule runs in the factored eigenbasis G = V diag(w) V^T,
-    V = F blockdiag(U_k) (``ctqw.Eigenbasis``): the coefficients start as
-    the all-zeros row of V times exp(-i tau0 w), each layer is
+    V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``: each real block U_k
+    serves both copies of its momentum): the coefficients start as the
+    all-zeros row of V times exp(-i tau0 w), each layer is
     c <- exp(-i tau1 w) V^T (S V c), and the amplitude on the target is its
-    row of V dotted with the coefficients.  V is applied as one sparse
-    product and one batched block product each way and is never formed.
+    row of V dotted with the coefficients.  Each layer is one sparse product
+    with P = F^T S F and two batched block products, and V is never formed.
     Larger blocks evaluate each point with ``evaluate_product``, which takes
     Krylov steps on every ring above the cutoff.
     """
@@ -281,8 +289,9 @@ def evaluate_product(
 
     One evaluation propagates the schedule with ``run_ansatz``.  Up to
     ``ctqw.DENSE_CUTOFF`` states that is the dense propagator, so even a
-    single evaluation computes (and caches) the generator's momentum-blocked
-    eigendecomposition ``gen.eig()``; larger bases propagate by Krylov.
+    single evaluation computes (and caches) the generator's momentum-parity
+    blocked eigendecomposition ``gen.eig()``, V = F blockdiag(U_k (x) I_c);
+    larger bases propagate by Krylov.
     """
     sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
     return success_probability(run_ansatz(sched, gen), [basis.index_of(z_star)])

@@ -147,6 +147,19 @@ def rotation_images(basis: SubspaceBasis) -> np.ndarray:
         & np.uint64((1 << n) - 1)
 
 
+def mirror_indices(basis: SubspaceBasis) -> np.ndarray:
+    """Index of every state's mirror image (its bit reversal) in the basis.
+
+    The basis must be closed under reflection, as a ring's is.
+    """
+    s = basis.states
+    n = basis.n_bits
+    mirror = np.zeros_like(s)
+    for i in range(n):
+        mirror |= ((s >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
+    return _lookup(s, mirror)[0]
+
+
 def rotate_bits(z: int, n: int, k: int = 1) -> int:
     """Cyclic left rotation of an n-bit string by k positions."""
     k %= n
@@ -198,16 +211,12 @@ def all_orbits(basis: SubspaceBasis) -> list:
     its mirror image's rotations, read from the rotation table.
     """
     s = basis.states
-    n = basis.n_bits
     least = rotation_images(basis).min(axis=0)
-    mirror = np.zeros_like(s)
-    for i in range(n):
-        mirror |= ((s >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
-    rep = np.minimum(least, least[_lookup(s, mirror)[0]])
+    rep = np.minimum(least, least[mirror_indices(basis)])
     order = np.argsort(rep, kind="stable")
     cuts = np.flatnonzero(np.diff(rep[order])) + 1
     groups = (tuple(g.tolist()) for g in np.split(s[order], cuts))
-    return [DihedralOrbit(n, m[0], m) for m in groups]
+    return [DihedralOrbit(basis.n_bits, m[0], m) for m in groups]
 
 
 def bracelet_vector(orbit: DihedralOrbit, basis: SubspaceBasis) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blockwalk import cli
@@ -253,6 +254,37 @@ def test_run_manifest_records_emulation_diagnostics(tmp_path, monkeypatch):
     assert inst["failed_stage"] == "emulate"
     assert "emulator down" in inst["error"]
     _stages_fit_runtime(inst, ["prepare", "compile", "emulate"])
+
+
+def test_run_manifest_records_emulation_fidelity(tmp_path, monkeypatch):
+    # ring 7, half target, depth 1 at scale 0.8: the long-range van der
+    # Waals tails cost over half the fidelity to the ideal walk state, while
+    # the blockade leaks only ~0.2% of the norm
+    from blockwalk import ctqw, prep_product, subspace
+
+    raw = {"version": 1, "ansatz": "product", "rings": [7],
+           "targets": ["half"], "depths": [1],
+           "backends": ["ctqw", "rydberg"], "emulation": {"scale": 0.8}}
+    (inst,) = cli.run_config(raw, str(tmp_path / "o"))["instances"]
+    assert inst["emulation_fidelity"] == pytest.approx(0.4620, abs=0.002)
+    assert inst["leakage"] == pytest.approx(0.0017, abs=0.0002)
+    assert inst["emulation_fidelity"] <= 1.0 - inst["leakage"]
+    # an emulator returning the ideal walk state reads fidelity 1
+    basis = subspace.enumerate_subspace(subspace.ring_graph(7))
+    gen = ctqw.build_generator(basis)
+    z = subspace.str_to_bits(subspace.half_target(7))
+    res = prep_product.optimize_product(basis, gen, z, 1)
+    sched = prep_product.product_schedule(res.tau0, res.tau1, 1, 7, z)
+    full = np.zeros(1 << 7, dtype=complex)
+    full[basis.states] = ctqw.run_ansatz(sched, gen).amplitudes
+    monkeypatch.setattr(cli.rydberg, "emulate", lambda *a, **k: full)
+    (inst,) = cli.run_config(raw, str(tmp_path / "ideal"))["instances"]
+    assert inst["emulation_fidelity"] == pytest.approx(1.0, abs=1e-12)
+    assert inst["leakage"] == pytest.approx(0.0, abs=1e-12)
+    # walk-only instances carry no fidelity
+    raw["backends"] = ["ctqw"]
+    (inst,) = cli.run_config(raw, str(tmp_path / "walk"))["instances"]
+    assert "emulation_fidelity" not in inst
 
 
 def test_tracer_keeps_rydberg_kernel_leaf_live(tmp_path, monkeypatch):

@@ -14,11 +14,24 @@ def _setup(n):
     return basis, ctqw.build_generator(basis)
 
 
+def _valid_slots(eb):
+    """Mask of the live (block, row, copy) slots of a factored eigenbasis."""
+    c = eb.F.shape[1] // eb.U.shape[0] // eb.U.shape[1]
+    rows = np.arange(eb.U.shape[1])[None, :, None] < eb.sizes[:, None, None]
+    return (rows & (np.arange(c) < eb.copies[:, None, None])).ravel()
+
+
+def _block_factor(eb):
+    """Dense blockdiag(U_k (x) I_c): block k's eigenvectors on each copy."""
+    c = eb.F.shape[1] // eb.U.shape[0] // eb.U.shape[1]
+    return scipy.linalg.block_diag(*(np.kron(u, np.eye(c)) for u in eb.U))
+
+
 def _dense_eigenpairs(eb):
-    """Eigenvalues and dense eigenvector columns V = F blockdiag(U_k) of a
-    factored eigenbasis, padding slots dropped."""
-    valid = (np.arange(eb.U.shape[1]) < eb.sizes[:, None]).ravel()
-    v = eb.F @ scipy.linalg.block_diag(*eb.U)
+    """Eigenvalues and dense eigenvector columns V = F blockdiag(U_k (x) I_c)
+    of a factored eigenbasis, padding slots and missing copies dropped."""
+    valid = _valid_slots(eb)
+    v = eb.F @ _block_factor(eb)
     return eb.w[valid], v[:, valid]
 
 
@@ -52,22 +65,59 @@ def test_momentum_eigenbasis_factors_generator(n):
     basis, gen = _setup(n)
     eb = gen.eig()
     assert eb.w.dtype == eb.U.dtype == eb.F.dtype == np.float64
-    assert len(eb.sizes) == n // 2 + 1 and eb.sizes.sum() == len(basis)
-    valid = (np.arange(eb.U.shape[1]) < eb.sizes[:, None]).ravel()
-    # V diag(w) V^T = F blockdiag(U_k diag(w_k) U_k^T) F^T
-    u, w = eb.U, eb.w.reshape(eb.U.shape[:2])
-    inner = scipy.linalg.block_diag(*((u * w[:, None, :]) @ u.transpose(0, 2, 1)))
+    # k = 0 and k = N/2 have one copy, every other momentum two
+    k = np.arange(n // 2 + 1)
+    assert eb.copies.tolist() == (1 + ((k > 0) & (2 * k != n))).tolist()
+    assert len(eb.sizes) == n // 2 + 1
+    assert (eb.sizes * eb.copies).sum() == len(basis)
+    valid = _valid_slots(eb)
+    # V diag(w) V^T = F blockdiag(U_k (x) I_c) diag(w) (...)^T F^T
+    v = eb.F @ _block_factor(eb)
     g = gen.dense()
-    assert np.abs(eb.F @ (eb.F @ inner).T - g).max() < 1e-12
+    assert np.abs((v * eb.w) @ v.T - g).max() < 1e-12
     # V^T V = I (orthonormal momentum columns, orthogonal blocks), so the
     # w on valid slots are G's eigenvalues
     ftf = (eb.F.T @ eb.F).toarray()
     assert np.abs(ftf - np.diag(valid.astype(float))).max() < 1e-12
+    u = eb.U
     eye = np.eye(u.shape[1]) * (np.arange(u.shape[1]) < eb.sizes[:, None, None])
     assert np.abs(u.transpose(0, 2, 1) @ u - eye).max() < 1e-12
-    # padding slots have empty momentum columns and zero eigenvector rows
-    assert eb.F[:, ~valid].nnz == 0
-    assert not u.reshape(-1, u.shape[2])[~valid].any()
+    # padding slots and missing copies have empty momentum columns and
+    # w = 0; padding rows of U are zero
+    assert eb.F[:, ~valid].nnz == 0 and not eb.w[~valid].any()
+    assert not (u * ~eye.any(axis=2)[:, :, None]).any()
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_momentum_eigenvalues_are_the_generator_spectrum(n):
+    basis, gen = _setup(n)
+    eb = gen.eig()
+    w = np.sort(eb.w[_valid_slots(eb)])
+    assert np.abs(w - np.linalg.eigvalsh(gen.dense())).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 12, 13])
+def test_momentum_block_copies_carry_one_real_block(n):
+    # for 0 < k < N/2 both copies of block k span G-invariant subspaces on
+    # which G is the same real matrix, and G does not couple them
+    basis, gen = _setup(n)
+    eb = gen.eig()
+    h = (eb.ft @ gen.matrix @ eb.F).toarray()
+    b = eb.U.shape[1]
+    for k in np.flatnonzero(eb.copies == 2):
+        first = (k * b + np.arange(eb.sizes[k])) * 2
+        a = h[np.ix_(first, first)]
+        assert np.abs(h[np.ix_(first + 1, first + 1)] - a).max() < 1e-12
+        assert np.abs(h[np.ix_(first, first + 1)]).max() < 1e-12
+        assert np.abs(a - a.T).max() < 1e-12
+
+
+def test_ring_16_largest_eigh_block_halves():
+    # the reflection-adapted block of one momentum is half its rotation block
+    basis, gen = _setup(16)
+    eb = gen.eig()
+    assert ctqw.largest_block(gen) == 282
+    assert eb.sizes.max() == eb.U.shape[1] == 143
 
 
 def test_non_ring_basis_is_one_identity_block():
@@ -76,6 +126,7 @@ def test_non_ring_basis_is_one_identity_block():
     gen = ctqw.build_generator(basis)
     eb = gen.eig()
     assert eb.sizes.tolist() == [len(basis)] == [ctqw.largest_block(gen)]
+    assert eb.copies.tolist() == [1]
     assert (eb.F != scipy.sparse.identity(len(basis))).nnz == 0
     w, v = _dense_eigenpairs(eb)
     assert np.abs((v * w) @ v.T - gen.dense()).max() < 1e-12
