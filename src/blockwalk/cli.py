@@ -106,7 +106,7 @@ class ValidationFailure(Exception):
 
 def _check_ring(n: int) -> None:
     if n < 3:
-        raise ValidationFailure(f"--ring must be >= 3, got {n}")
+        raise ValidationFailure(f"ring must be >= 3, got {n}")
 
 
 def resolve_target(n: int, spec: str) -> str:
@@ -146,10 +146,10 @@ def schedule_from_dict(d: dict) -> tuple:
     if d["schema"] != SCHEDULE_SCHEMA_VERSION:
         raise ValidationFailure(f"unsupported schedule schema {d['schema']!r}")
     n = int(d["ring"])
-    target = str(d["target"])
+    target, z = _ring_target(n, str(d["target"]))
     mask = 0
     if d["phasor"] == "local":
-        mask = (~subspace.str_to_bits(target)) & ((1 << n) - 1)
+        mask = (~z) & ((1 << n) - 1)
     sched = ctqw.AnsatzSchedule(
         tau0=float(d["tau0"]),
         layers=tuple((float(g), float(t)) for g, t in d["layers"]),
@@ -177,7 +177,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _ring_target(n: int, spec: str) -> tuple:
-    """(target string, target bits) for the n-ring, if an independent set."""
+    """(target string, target bits) for the n-ring, if the ring has at least
+    3 sites and the target is one of its independent sets."""
+    _check_ring(n)
     target = resolve_target(n, spec)
     z = subspace.str_to_bits(target)
     if z & subspace.rotate_bits(z, n, 1):
@@ -222,7 +224,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_prep_product(args) -> int:
-    _check_ring(args.ring)
     n = args.ring
     target, z, basis, gen = _ring_problem(n, args.target)
     if args.tau0 is not None and args.tau1 is not None:
@@ -239,7 +240,6 @@ def cmd_prep_product(args) -> int:
 
 
 def cmd_prep_bracelet(args) -> int:
-    _check_ring(args.ring)
     n = args.ring
     target, z, _, gen = _ring_problem(n, args.target)
     orbit = subspace.dihedral_orbit(z, n)
@@ -283,8 +283,13 @@ def cmd_emulate(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
-    shots = rydberg.read_shot_file(args.shots_file)
-    _, z, basis, _ = _ring_problem(shots.n_bits, args.target)
+    try:
+        shots = rydberg.read_shot_file(args.shots_file)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ValidationFailure(
+            f"cannot read shot file {args.shots_file}: {exc!r}") from exc
+    _, z = _ring_target(shots.n_bits, args.target)
+    basis = subspace.enumerate_subspace(subspace.ring_graph(shots.n_bits))
     p00 = args.p00 if args.p00 is not None else shots.p00
     p11 = args.p11 if args.p11 is not None else shots.p11
     channel = mitigation.ReadoutChannel(p00=p00, p11=p11)
@@ -326,7 +331,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_quench(args) -> int:
-    _check_ring(args.ring)
     n = args.ring
     _, z, basis, gen = _ring_problem(n, args.target)
     orbit = subspace.dihedral_orbit(z, n)

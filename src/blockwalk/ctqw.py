@@ -7,17 +7,20 @@ by adaptive Lanczos/Krylov iteration with sparse matrix-vector products.
 
 The eigendecomposition is blocked by ring momentum and parity.  When the
 basis is closed under rotating the ring, G commutes with the rotation and
-with the ring's reflection, so momentum states adapted to the reflection
+with the ring's reflection R, so momentum states adapted to the reflection
 (Sandvik, AIP Conf. Proc. 1297, 135, 2010) split G into about N/2 real
-blocks of about |V|/N states.  Each block with 0 < k < N/2 serves two
-copies: the real and imaginary parts of its states span two G-invariant
-subspaces on which G is the same real matrix; k = 0 and k = N/2 have one
-copy of cosine columns.  The eigenvectors are kept factored as
+blocks of about |V|/N states, at every momentum.  Each block with
+0 < k < N/2 serves two copies: the real and imaginary parts of its states
+span two G-invariant subspaces on which G is the same real matrix.  k = 0
+and k = N/2 have one copy, whose R-even rows come first and R-odd rows
+follow; G does not couple the two, so their eigenvectors are
+block-diagonal, and the even rows of k = 0 are the dihedral-symmetric
+(bracelet) sector.  The eigenvectors are kept factored as
 V = F blockdiag(U_k (x) I_c): a sparse real matrix of momentum columns,
 ordered (block, row, copy), and a zero-padded stack of block eigenvectors,
 so V c and V^T x cost one sparse product and one batched block product in
 real arithmetic and V is never formed.  Any other basis is one block with
-F = I.
+F = I, all of it even.
 """
 
 from __future__ import annotations
@@ -112,11 +115,15 @@ class Eigenbasis:
     (|V| x slots) holds orthonormal real momentum columns; each copy of
     block k spans a G-invariant subspace on which G acts as the same real
     sizes[k] x sizes[k] matrix, whose eigenvectors ``U[k]`` (zero-padded to
-    b x b) serve every copy.  Padding slots and missing copies have empty
-    columns in F and w = 0, so V diag(w) V^T = G and they stay zero under
-    ``to_eigen`` and ``to_states``.  In the real view of a complex
-    coefficient vector, reshaped to (n_blocks, b, 2c), one batched product
-    with U applies V's block factor to every copy at once.
+    b x b) serve every copy.  Every block is reflection-adapted: the one-copy
+    blocks k = 0 and k = N/2 hold their ``even[k]`` reflection-even rows
+    first and their odd rows after them, and U[k] is block-diagonal between
+    the two (a two-copy block counts all its rows as even).  Padding slots
+    and missing copies have empty columns in F and w = 0, so
+    V diag(w) V^T = G and they stay zero under ``to_eigen`` and
+    ``to_states``.  In the real view of a complex coefficient vector,
+    reshaped to (n_blocks, b, 2c), one batched product with U applies V's
+    block factor to every copy at once.
     """
 
     w: np.ndarray          # (n_blocks * b * c,) eigenvalues, float64
@@ -124,7 +131,22 @@ class Eigenbasis:
     U: np.ndarray          # (n_blocks, b, b) block eigenvectors
     sizes: np.ndarray      # (n_blocks,) block sizes
     copies: np.ndarray     # (n_blocks,) copies of each block, 1 or 2
+    even: np.ndarray       # (n_blocks,) reflection-even rows, first in a block
     ft: sp.csr_matrix      # F^T, row-compressed for V^T x
+
+    def symmetric_sector(self) -> tuple:
+        """(w, U): G's eigenvalues (ascending) and eigenvectors on the
+        dihedral-symmetric sector, the reflection-even rows of block k = 0.
+
+        On a ring their momentum columns are the equal-weight superpositions
+        of the dihedral orbits, one per row in the order of the orbits'
+        least members (``subspace.all_orbits``): an achiral rotation orbit O
+        gives e_O, and a chiral pair O < O' gives (e_O + e_O') / sqrt(2) on
+        the row of O, whose minimum is the pair's least member.
+        """
+        m = self.even[0]
+        w = self.w.reshape(len(self.sizes), self.U.shape[1], -1)
+        return w[0, :m, 0], self.U[0, :m, :m]
 
     def to_eigen(self, x: np.ndarray) -> np.ndarray:
         """V^T x for a complex state x."""
@@ -205,33 +227,33 @@ def largest_block(gen: WalkGenerator) -> int:
 
 def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
     """Reflection-adapted momentum columns F in one vectorised pass, then
-    eigh of each block of F^T G F, read from its first copy.
+    eigh of each parity of each block of F^T G F, read from its first copy.
 
     With e_O the momentum-k state of rotation orbit O (minimum r, period L;
     amplitude e^{2 pi i k m / N} / sqrt(L) on T^m r), the bit reversal R
     maps r to T^d r' for the minimum r' of the mirror orbit O', and
     R composed with complex conjugation maps e_O to e^{i theta} e_O' with
-    theta = -2 pi k d / N.  For 0 < k < N/2 the states fixed by that
-    antiunitary span momentum k: e^{i theta/2} e_O for an achiral orbit
-    (O' = O), and (e_O + e^{i theta} e_O') / sqrt(2) and
-    i (e_O - e^{i theta} e_O') / sqrt(2) for a chiral pair O < O'.  G is
-    real on them, so the real columns sqrt(2) Re f and sqrt(2) Im f of each
-    such state f give two copies of one real block.  k = 0 and k = N/2 keep
-    the real cosine columns of e_O, one copy.
+    theta = -2 pi k d / N.  The states fixed by that antiunitary span
+    momentum k: e^{i theta/2} e_O for an achiral orbit (O' = O), and
+    (e_O + e^{i theta} e_O') / sqrt(2) and i (e_O - e^{i theta} e_O') / sqrt(2)
+    for a chiral pair O < O'.  G is real on them.  For 0 < k < N/2 the real
+    columns sqrt(2) Re f and sqrt(2) Im f of each such state f give two
+    copies of one real block.  At k = 0 and k = N/2 e_O is real, so each f
+    is real, and then R-even, or imaginary, and then R-odd: the one copy
+    holds Re f on the even rows, then Im f on the odd rows, and G, which
+    commutes with R, does not couple the two.
     """
     n, orbit, position, period, mirror, admits, pair, _ = gen.sectors()
     sizes = admits.sum(axis=1)
     copies = 1 + pair
     b, c = int(sizes.max()), int(copies.max())
-    rank = np.cumsum(admits, axis=1) - 1
     ks, states = np.nonzero(admits[:, orbit])
     o, mo = orbit[states], orbit[mirror[states]]
     # s = T^m r has R s = T^(d - m) r', so d is the sum of the positions of
     # s and of its mirror image: one value on O, and the same on O' mod L
     d = (position + position[mirror]) % period
     theta = (-2.0 * np.pi / n) * ks * d[states]
-    paired = pair[ks]
-    chiral = paired & (o != mo)
+    chiral = o != mo
     lower = o < mo
     # each state's amplitude in e_O, then in its column's state f:
     # e^{i theta/2} e_O for an achiral orbit; for a chiral pair,
@@ -241,37 +263,50 @@ def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
     f /= np.sqrt(period[states])
     f *= np.where(chiral,
                   np.where(lower, 1.0, np.exp(1j * theta)) / np.sqrt(2.0),
-                  np.exp(0.5j * theta * paired))
+                  np.exp(0.5j * theta))
     ks = np.concatenate([ks, ks[chiral]])
     states = np.concatenate([states, states[chiral]])
-    rows = rank[ks, np.concatenate([np.where(chiral, np.minimum(o, mo), o),
-                                    np.maximum(o, mo)[chiral]])]
+    o = np.concatenate([np.minimum(o, mo), np.maximum(o, mo)[chiral]])
     f = np.concatenate([f, 1j * np.where(lower, 1, -1)[chiral] * f[chiral]])
-    # copy 0 holds sqrt(2) Re f and copy 1 sqrt(2) Im f; one copy holds Re f
+    # a one-copy f is real or imaginary; its entries are at least
+    # 1 / sqrt(2L) in magnitude, far above the rounding in the other part
+    odd = ~pair[ks] & (np.abs(f.imag) > np.abs(f.real))
+    odd_row = np.zeros(admits.shape, dtype=bool)
+    odd_row[ks, o] = odd
+    even_row = admits & ~odd_row
+    even = even_row.sum(axis=1)
+    # rows of a block: its even orbits in order, then its odd orbits
+    rank = np.where(odd_row, even[:, None] + np.cumsum(odd_row, axis=1),
+                    np.cumsum(even_row, axis=1)) - 1
+    # copy 0 holds sqrt(2) Re f and copy 1 sqrt(2) Im f; one copy holds the
+    # real or the imaginary part
     f *= np.sqrt(copies[ks])
-    slot = ks * b + rows
+    slot = ks * b + rank[ks, o]
     two = pair[ks]
-    f0t = sp.csr_matrix((f.real, (slot, states)),
-                        shape=(len(sizes) * b, gen.dim))
     f = sp.csr_matrix(
-        (np.concatenate([f.real, f.imag[two]]),
+        (np.concatenate([np.where(odd, f.imag, f.real), f.imag[two]]),
          (np.concatenate([states, states[two]]),
           np.concatenate([slot * c, slot[two] * c + 1]))),
         shape=(gen.dim, len(sizes) * b * c))
+    ft = f.T.tocsr()
     # F^T G F is block diagonal and equal on both copies of a block; the
-    # first copy's block is unpacked into its slot of u and decomposed
-    # there.  Entries between blocks are rounding noise.
+    # first copy's block is unpacked into its slot of u and each parity
+    # decomposed there.  Entries between blocks or parities are rounding
+    # noise.
+    f0t = ft[::c]
     h = f0t @ (gen.matrix @ f0t.T)
     row = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    col = h.indices
     blk = row // b
-    same = blk == h.indices // b
+    same = (blk == col // b) & ((row % b < even[blk]) == (col % b < even[blk]))
     u = np.zeros((len(sizes), b, b))
-    u[blk[same], row[same] % b, h.indices[same] % b] = h.data[same]
+    u[blk[same], row[same] % b, col[same] % b] = h.data[same]
     w = np.zeros((len(sizes), b, c))
     for k, size in enumerate(sizes):
-        wk, u[k, :size, :size] = np.linalg.eigh(u[k, :size, :size])
-        w[k, :size, :copies[k]] = wk[:, None]
-    return Eigenbasis(w.ravel(), f, u, sizes, copies, f.T.tocsr())
+        for part in (slice(0, even[k]), slice(even[k], size)):
+            wk, u[k, part, part] = np.linalg.eigh(u[k, part, part])
+            w[k, part, :copies[k]] = wk[:, None]
+    return Eigenbasis(w.ravel(), f, u, sizes, copies, even, ft)
 
 
 def build_generator(basis: SubspaceBasis) -> WalkGenerator:

@@ -1,10 +1,12 @@
 """Scheduling and phase optimization for orbit-superposition (bracelet) targets.
 
 The walk from the all-zeros state never leaves the dihedral-symmetric sector,
-so everything here runs in the exponentially smaller orbit basis: scan the
-bare walk for population peaks, fix walk times from the chosen peak, then
-optimize the interleaved Hamming-phasor phases with L-BFGS-B on the exact
-gradient of one forward and one adjoint (GRAPE) sweep.
+so everything here runs in the exponentially smaller orbit basis, on the
+walk's eigenpairs in that sector, which the generator's momentum-parity
+eigendecomposition (``WalkGenerator.eig``) already holds: scan the bare walk
+for population peaks, fix walk times from the chosen peak, then optimize the
+interleaved Hamming-phasor phases with L-BFGS-B on the exact gradient of one
+forward and one adjoint (GRAPE) sweep.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .subspace import (
     DihedralOrbit,
     SubspaceBasis,
     all_orbits,
-    bracelet_vector,
-    popcount,
 )
 
 __all__ = [
@@ -55,14 +55,14 @@ class PlanInfeasibleError(ValueError):
 class ReducedWalk:
     """Walk generator restricted to the dihedral-symmetric sector.
 
-    Columns of the full-to-reduced isometry are equal-weight orbit
-    superpositions; the reduced generator is real symmetric and exponentially
-    smaller than the full subspace.
+    The sector's basis is the equal-weight superposition of each dihedral
+    orbit, one per orbit in ``orbits``; the walk is real symmetric on it and
+    exponentially smaller than on the full subspace, and is kept as its
+    eigenpairs.
     """
 
     basis: SubspaceBasis
     orbits: tuple
-    matrix: np.ndarray          # reduced generator, (d, d)
     eigenvalues: np.ndarray     # ascending
     eigenvectors: np.ndarray    # columns
     weights: np.ndarray         # Hamming weight of each orbit
@@ -70,7 +70,7 @@ class ReducedWalk:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.eigenvalues)
 
     def orbit_index(self, orbit: DihedralOrbit) -> int:
         for i, o in enumerate(self.orbits):
@@ -92,31 +92,22 @@ class ReducedWalk:
 
 
 def reduced_walk(gen: WalkGenerator) -> ReducedWalk:
-    """Project the generator onto the orbit-superposition basis."""
-    basis = gen.basis
-    orbits = tuple(all_orbits(basis))
-    d = len(orbits)
-    iso = np.zeros((len(basis), d))
-    weights = np.zeros(d)
-    start = -1
-    for j, orb in enumerate(orbits):
-        iso[:, j] = bracelet_vector(orb, basis).real
-        weights[j] = popcount(orb.representative)
-        if orb.representative == 0:
-            start = j
-    if start < 0:
-        raise ValueError("basis lacks the all-zeros state")
-    reduced = iso.T @ (gen.matrix @ iso)
-    reduced = 0.5 * (reduced + reduced.T)
-    evals, evecs = np.linalg.eigh(reduced)
+    """The walk on the orbit-superposition basis of a ring.
+
+    Its eigenpairs are the reflection-even part of the generator's k = 0
+    momentum block (``Eigenbasis.symmetric_sector``), whose rows are the
+    dihedral orbits in ``all_orbits`` order, so the all-zeros orbit is the
+    first.
+    """
+    orbits = tuple(all_orbits(gen.basis))
+    evals, evecs = gen.eig().symmetric_sector()
     return ReducedWalk(
-        basis=basis,
+        basis=gen.basis,
         orbits=orbits,
-        matrix=reduced,
         eigenvalues=evals,
         eigenvectors=evecs,
-        weights=weights,
-        start_index=start,
+        weights=np.array([orb.weight() for orb in orbits]),
+        start_index=0,
     )
 
 

@@ -540,15 +540,22 @@ def write_shot_file(path: str, shot_set: ShotSet) -> None:
 
 
 def read_shot_file(path: str) -> ShotSet:
+    """Read a file written by ``write_shot_file``.  A malformed header or a
+    line that is not an n-bit string of 0s and 1s raises ValueError, a
+    header without ``n``, ``p00`` or ``p11`` KeyError."""
     with open(path) as f:
         header = f.readline().strip()
         if not header.startswith("#"):
             raise ValueError("shot file missing header")
         meta = dict(kv.split("=") for kv in header[1:].split())
-        masks = [int(line.strip(), 2) for line in f if line.strip()]
+        n = int(meta["n"])
+        lines = [line.strip() for line in f if line.strip()]
+    if any(len(line) != n or set(line) - {"0", "1"} for line in lines):
+        raise ValueError(f"shot lines must be {n}-bit strings of 0s and 1s")
+    masks = [int(line, 2) for line in lines]
     seed = None if meta.get("seed") in (None, "None") else int(meta["seed"])
     return ShotSet(
-        n_bits=int(meta["n"]),
+        n_bits=n,
         shots=np.array(masks, dtype=np.uint64),
         p00=float(meta["p00"]),
         p11=float(meta["p11"]),

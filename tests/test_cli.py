@@ -109,6 +109,22 @@ def test_compile_and_emulate(tmp_path, capsys):
     assert shots.exists()
 
 
+@pytest.mark.parametrize("ring,target", [
+    (5, "101"),      # too few bits: compiled with a wrong local mask
+    (5, "00011"),    # adjacent sites: not an independent set
+    (5, "10001"),    # adjacent across the wrap-around
+    (5, "0010x"),    # not a bitstring
+    (2, "01"),       # not a ring
+])
+@pytest.mark.parametrize("command", ["compile", "emulate"])
+def test_schedule_file_rejects_bad_ring_or_target(tmp_path, command, ring,
+                                                   target):
+    sched = _make_schedule(tmp_path)
+    body = json.loads(sched.read_text())
+    sched.write_text(json.dumps({**body, "ring": ring, "target": target}))
+    assert run([command, "--schedule", str(sched)]) == 1
+
+
 def test_emulate_shots_require_outfile(tmp_path):
     sched = _make_schedule(tmp_path)
     assert run(["emulate", "--schedule", str(sched), "--shots", "50"]) == 1
@@ -126,6 +142,21 @@ def test_mitigate_pipeline(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     lo, hi = body["ci"]
     assert lo <= body["target_probability"] <= hi
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "00101\n00000\n",
+    "# n=5 p00=0.99 p11=0.93 seed=1\n00101\n0010x\n",
+    "# n=5 p00=0.99 p11=0.93 seed=1\n00101\n001010\n",
+    "# p00=0.99 p11=0.93 seed=1\n00101\n",
+], ids=["missing", "no-header", "not-bits", "too-wide", "no-width"])
+def test_mitigate_rejects_bad_shot_file(tmp_path, content):
+    shots = tmp_path / "shots.txt"
+    if content is not None:
+        shots.write_text(content)
+    assert run(["mitigate", "--shots-file", str(shots), "--target", "half",
+                "--resamples", "5"]) == 1
 
 
 def test_analyze_rejects_bad_csv(tmp_path):
@@ -369,6 +400,40 @@ def test_tracer_keeps_eig_live(tmp_path, monkeypatch):
     assert metrics["ctqw.eig_calls"] == 1
     assert metrics["ctqw.eig_s"] > 0.0
     assert (ctqw.WalkGenerator, "eig") in originals
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original
+
+
+def test_tracer_keeps_bracelet_layers_live(tmp_path, monkeypatch):
+    # perfbench wraps prep_bracelet.reduced_walk, ReducedWalk.evolve and the
+    # all_orbits prep_bracelet imports; the reduced walk reads its sector
+    # from the generator's one decomposition, which is computed once
+    from blockwalk import ctqw, prep_bracelet, subspace
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracer")
+    basis = subspace.enumerate_subspace(subspace.ring_graph(5))
+    gen = ctqw.build_generator(basis)
+    orbit = subspace.dihedral_orbit(
+        subspace.str_to_bits(subspace.half_target(5)), 5)
+    tracer = tracing.Tracer(str(tmp_path))
+    tracing.install(tracer)
+    originals = {}
+    for owner, attr, original in tracer._patched:
+        originals.setdefault((owner, attr), original)
+    try:
+        with tracer.root("benchmark.sweep"):
+            prep_bracelet.prepare_bracelet(gen, orbit)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.collect(), [], 1)
+    assert metrics["prep_bracelet.reduced_walk_s"] > 0.0
+    assert metrics["prep_bracelet.reduced_evolve_calls"] > 0
+    assert metrics["subspace.all_orbits_s"] > 0.0
+    assert metrics["ctqw.eig_calls"] == 1
+    for key in ((prep_bracelet, "reduced_walk"), (prep_bracelet, "all_orbits"),
+                (prep_bracelet.ReducedWalk, "evolve")):
+        assert key in originals
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original
 

@@ -112,6 +112,91 @@ def test_momentum_block_copies_carry_one_real_block(n):
         assert np.abs(a - a.T).max() < 1e-12
 
 
+def _reference_momentum_columns(basis, n):
+    """The columns of F, orbit by orbit, as ``_momentum_eigenbasis`` documents
+    them: for rotation orbit O (minimum r, period L) and its mirror orbit O'
+    (minimum r', R r = T^d r' with 0 <= d < L), theta = -2 pi k d / N and
+    f = e^{i theta/2} e_O if O' = O; else, for O < O',
+    (e_O + e^{i theta} e_O') / sqrt(2) and i (e_O - e^{i theta} e_O') / sqrt(2).
+    Each f gives sqrt(2) Re f and sqrt(2) Im f for 0 < k < N/2, and its
+    nonzero part for k = 0 and k = N/2."""
+    index = {int(s): i for i, s in enumerate(basis.states)}
+    least = {min(ss.rotate_bits(s, n, j) for j in range(n)) for s in index}
+
+    def period(r):
+        return next(j for j in range(1, n + 1) if ss.rotate_bits(r, n, j) == r)
+
+    def e(r, k):
+        vec = np.zeros(len(index), dtype=complex)
+        size = period(r)
+        for m in range(size):
+            vec[index[ss.rotate_bits(r, n, m)]] = (
+                np.exp(2j * np.pi * k * m / n) / np.sqrt(size))
+        return vec
+
+    columns = []
+    for r in sorted(least):
+        size = period(r)
+        mirror = ss.reverse_bits(r, n)
+        r2 = min(ss.rotate_bits(mirror, n, j) for j in range(n))
+        d = next(j for j in range(size) if ss.rotate_bits(r2, n, j) == mirror)
+        if r2 < r:
+            continue
+        for k in range(n // 2 + 1):
+            if k * size % n:
+                continue
+            theta = -2 * np.pi * k * d / n
+            if r2 == r:
+                fs = [np.exp(0.5j * theta) * e(r, k)]
+            else:
+                other = np.exp(1j * theta) * e(r2, k)
+                fs = [(e(r, k) + other) / np.sqrt(2),
+                      1j * (e(r, k) - other) / np.sqrt(2)]
+            for f in fs:
+                if 0 < 2 * k < n:
+                    columns += [np.sqrt(2) * f.real, np.sqrt(2) * f.imag]
+                else:
+                    real = np.abs(f.real).max() > np.abs(f.imag).max()
+                    columns.append(f.real if real else f.imag)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_momentum_columns_follow_the_documented_construction(n):
+    # the phase convention fixes each column's sign, which no spectral test
+    # sees: every reference column is a column of F, sign included
+    basis, gen = _setup(n)
+    eb = gen.eig()
+    ref = _reference_momentum_columns(basis, n)
+    assert ref.shape == (len(basis), len(basis))
+    overlaps = eb.ft @ ref
+    assert np.abs(overlaps.max(axis=0) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_one_copy_blocks_split_by_reflection_parity(n):
+    # k = 0 and k = N/2 hold their R-even rows, then their R-odd rows; G does
+    # not couple the two and each has its own eigenvectors
+    basis, gen = _setup(n)
+    eb = gen.eig()
+    h = (eb.ft @ gen.matrix @ eb.F).toarray()
+    mirror = ss.mirror_indices(basis)
+    b = eb.U.shape[1]
+    c = eb.F.shape[1] // eb.U.shape[0] // b
+    for k in np.flatnonzero(eb.copies == 1):
+        m, size = eb.even[k], eb.sizes[k]
+        slots = (k * b + np.arange(size)) * c
+        even, odd = slots[:m], slots[m:]
+        assert np.abs(h[np.ix_(even, odd)]).max(initial=0.0) < 1e-12
+        assert not eb.U[k, :m, m:].any() and not eb.U[k, m:, :m].any()
+        f = eb.F[:, slots].toarray()
+        assert np.abs(f[mirror, :m] - f[:, :m]).max(initial=0.0) < 1e-14
+        assert np.abs(f[mirror, m:] + f[:, m:]).max(initial=0.0) < 1e-14
+    # every other block is all even
+    pair = eb.copies == 2
+    assert (eb.even[pair] == eb.sizes[pair]).all()
+
+
 def test_ring_16_largest_eigh_block_halves():
     # the reflection-adapted block of one momentum is half its rotation block
     basis, gen = _setup(16)
@@ -135,6 +220,16 @@ def test_non_ring_basis_is_one_identity_block():
     a = ctqw.evolve_walk(psi, gen, 1.3, method="dense").amplitudes
     b = ctqw.evolve_walk(psi, gen, 1.3, method="krylov").amplitudes
     assert np.linalg.norm(a - b) < 1e-10
+
+
+def test_non_ring_basis_is_all_even():
+    # off rings the one block has F = I and no reflection split; its whole
+    # spectrum is the "symmetric sector"
+    basis = ss.enumerate_subspace(ss.make_graph(8, [(i, i + 1) for i in range(7)]))
+    eb = ctqw.build_generator(basis).eig()
+    assert eb.even.tolist() == eb.sizes.tolist() == [len(basis)]
+    w, u = eb.symmetric_sector()
+    assert np.array_equal(w, eb.w) and np.array_equal(u, eb.U[0])
 
 
 def test_evolution_unitary():

@@ -45,6 +45,35 @@ def test_reduced_walk_dimension_is_orbit_count():
     assert rw.dim == len(ss.all_orbits(basis))
 
 
+def _isometry_reduced_generator(basis, gen):
+    """Reference: G projected onto the equal-weight superposition of each
+    dihedral orbit, in ``all_orbits`` order."""
+    iso = np.column_stack([ss.bracelet_vector(orbit, basis).real
+                           for orbit in ss.all_orbits(basis)])
+    reduced = iso.T @ (gen.matrix @ iso)
+    return 0.5 * (reduced + reduced.T)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_reduced_walk_is_the_isometry_projection(n):
+    basis, gen = _setup(n)
+    ref = _isometry_reduced_generator(basis, gen)
+    rw = pb.reduced_walk(gen)
+    assert np.abs(rw.eigenvalues - np.linalg.eigvalsh(ref)).max() < 1e-12
+    v = rw.eigenvectors
+    assert np.abs((v * rw.eigenvalues) @ v.T - ref).max() < 1e-12
+    assert rw.orbits[rw.start_index].representative == 0
+    assert rw.weights.tolist() == [o.weight() for o in rw.orbits]
+    # the sector's momentum columns are the orbit superpositions themselves
+    eb = gen.eig()
+    c = eb.F.shape[1] // eb.U.shape[0] // eb.U.shape[1]
+    cols = eb.F[:, :eb.even[0] * c:c].toarray()
+    assert cols.shape[1] == len(rw.orbits)
+    for j, orbit in enumerate(rw.orbits):
+        ref_col = ss.bracelet_vector(orbit, basis).real
+        assert np.abs(cols[:, j] - ref_col).max() < 1e-15
+
+
 @pytest.mark.parametrize(
     "row", [r for r in BRACELET_ROWS if r[0] <= 9],
     ids=lambda r: f"n{r[0]}-{r[2]}")
