@@ -145,18 +145,26 @@ def schedule_from_dict(d: dict) -> tuple:
             raise ValidationFailure(f"schedule file missing field {key!r}")
     if d["schema"] != SCHEDULE_SCHEMA_VERSION:
         raise ValidationFailure(f"unsupported schedule schema {d['schema']!r}")
-    n = int(d["ring"])
+    try:
+        n = int(d["ring"])
+        tau0 = float(d["tau0"])
+        layers = tuple((float(g), float(t)) for g, t in d["layers"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationFailure(f"bad schedule field: {exc}") from exc
     target, z = _ring_target(n, str(d["target"]))
     mask = 0
     if d["phasor"] == "local":
         mask = (~z) & ((1 << n) - 1)
     sched = ctqw.AnsatzSchedule(
-        tau0=float(d["tau0"]),
-        layers=tuple((float(g), float(t)) for g, t in d["layers"]),
+        tau0=tau0,
+        layers=layers,
         phasor_kind=str(d["phasor"]),
         target_mask=mask,
     )
-    sched.validate()
+    try:
+        sched.validate()
+    except ValueError as exc:
+        raise ValidationFailure(f"bad schedule: {exc}") from exc
     return n, target, sched
 
 

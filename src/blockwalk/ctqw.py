@@ -170,7 +170,8 @@ class Eigenbasis:
         couples only columns of one rotation orbit or of one mirror pair of
         orbits and so stays nearly as sparse as F; each application is then
         one sparse and two block products on the real view of c, which must
-        be a contiguous complex vector.
+        be a contiguous complex array of one coefficient vector (slots,) or
+        a stack of m of them (slots, m), applied to every column at once.
         """
         ft = self.ft
         p = sp.csr_matrix((ft.data * d[ft.indices], ft.indices, ft.indptr),
@@ -179,8 +180,9 @@ class Eigenbasis:
         shape = u.shape[:2] + (-1,)
 
         def apply(c: np.ndarray) -> np.ndarray:
-            y = p @ np.matmul(u, c.view(float).reshape(shape)).reshape(-1, 2)
-            return np.matmul(ut, y.reshape(shape)).view(complex).ravel()
+            y = np.matmul(u, c.view(float).reshape(shape)).reshape(len(c), -1)
+            y = p @ y
+            return np.matmul(ut, y.reshape(shape)).view(complex).reshape(c.shape)
         return apply
 
 

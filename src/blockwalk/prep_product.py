@@ -4,27 +4,29 @@ The walk generator is split by the complement-mask pi-phasor of the target
 string into a part that preserves the phasor's +1 eigenspace and a part that
 couples out of it.  Norms of the two parts acting on the all-zeros state give
 an effective two-parameter chain model whose closed-form optimum seeds a
-Nelder-Mead refinement of the exact success probability.  Each pi-phasor layer
-is the split's sign operator, so while the walk generator's largest momentum
-block is at most ``EIGEN_BLOCK_CUTOFF`` (rings up to 18) the success
-probability is evaluated in its factored momentum-parity eigenbasis,
-V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``), without forming V; larger
-blocks propagate the schedule with Krylov steps.
+trust-region Newton refinement of the exact success probability, on its
+exact gradient and Hessian in (tau0, tau1): forward-mode tangents carried
+through the schedule's own layer recurrence.  Each pi-phasor layer is the
+split's sign operator, so while the walk generator's largest momentum block
+is at most ``EIGEN_BLOCK_CUTOFF`` (rings up to 18) the success probability
+and its derivatives are evaluated in its factored momentum-parity
+eigenbasis, V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``), without
+forming V; larger blocks propagate the schedule with Krylov steps.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
 from .ctqw import (
     AnsatzSchedule,
+    StateVector,
     WalkGenerator,
+    evolve_walk,
     largest_block,
     run_ansatz,
     success_probability,
@@ -44,8 +46,10 @@ __all__ = [
 
 MAX_EVALS = 500
 MAX_DEPTH = 5
-SIMPLEX_SCALE = 0.05
-CONVERGENCE_TOL = 1e-6
+SIMPLEX_SCALE = 0.05    # initial trust radius in (tau0, tau1)
+CONVERGENCE_TOL = 1e-6  # step length at which the search stops
+GRADIENT_TOL = 1e-10
+TRUST_REGION_BISECTIONS = 60
 # Largest rotation momentum block (``ctqw.largest_block``) for which the
 # objective decomposes G: the crossover of optimize_product (half target,
 # depths 1-2, one BLAS thread, one process per run) measured on the rotation
@@ -243,37 +247,83 @@ def _product_success(
     p: int,
     split: Optional[SubspaceSplit] = None,
 ):
-    """Success probability of the depth-p pi-phasor schedule as a function
-    ``success(tau0, tau1)``.
+    """Success probability of the depth-p pi-phasor schedule with its exact
+    gradient and Hessian, as a function ``success(tau0, tau1) -> (f, g, H)``.
 
-    Every pi-phasor layer is the sign operator S of the split.  While the
-    generator's largest momentum block is at most ``EIGEN_BLOCK_CUTOFF``,
-    the schedule runs in the factored eigenbasis G = V diag(w) V^T,
-    V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``: each real block U_k
-    serves both copies of its momentum): the coefficients start as the
-    all-zeros row of V times exp(-i tau0 w), each layer is
-    c <- exp(-i tau1 w) V^T (S V c), and the amplitude on the target is its
-    row of V dotted with the coefficients.  Each layer is one sparse product
-    with P = F^T S F and two batched block products, and V is never formed.
-    Larger blocks evaluate each point with ``evaluate_product``, which takes
-    Krylov steps on every ring above the cutoff.
+    The state after each layer is c <- D S c with D = exp(tau1 W),
+    W = -i G and S the split's sign operator, after c = exp(tau0 W) |0>.
+    Its tangents travel with it as the columns of one stack
+    (c, d0 c, d00 c, d1 c, d01 c, d11 c): D S acts on every column, then
+    d1 c <- W c + d1 c, d01 c <- W d0 c + d01 c and
+    d11 c <- W d1 c_new + W d1 c + d11 c, since d/dtau1 D = W D.  The target
+    amplitude a and its derivatives are the target row of the stack, and
+    f = |a|^2.  While the generator's largest momentum block is at most
+    ``EIGEN_BLOCK_CUTOFF`` the stack lives in the factored eigenbasis
+    G = V diag(w) V^T, V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``),
+    where W and D are diagonal and S is one ``diagonal_operator``
+    application to the whole stack: one sparse product with P = F^T S F and
+    two batched block products, and V is never formed.  Larger blocks keep
+    the stack in the subspace basis, where S is diagonal, W is the generator
+    matvec and D is a Krylov step on each column.
     """
-    if largest_block(gen) > EIGEN_BLOCK_CUTOFF:
-        return functools.partial(evaluate_product, basis, gen, z_star, p)
-
     if split is None:
         split = split_generator(gen, z_star)
-    eb = gen.eig()
-    layer = eb.diagonal_operator(split.signs)
-    start = eb.row(basis.index_of(0))
-    end = eb.row(basis.index_of(z_star))
+    if largest_block(gen) > EIGEN_BLOCK_CUTOFF:
+        first = np.zeros(len(basis), dtype=complex)
+        first[basis.index_of(0)] = 1.0
+        end = np.zeros(len(basis))
+        end[basis.index_of(z_star)] = 1.0
+        signs = split.signs[:, None]
 
-    def success(tau0: float, tau1: float) -> float:
-        c = start * np.exp(-1j * tau0 * eb.w)
-        walk = np.exp(-1j * tau1 * eb.w)
+        def walk(x, tau):
+            return evolve_walk(StateVector(basis, x), gen, tau,
+                               "krylov").amplitudes
+
+        def start(tau0):
+            return walk(first, tau0)
+
+        def W(x):
+            return -1j * gen.matvec(x)
+
+        def layer(x, tau1):
+            return np.stack([walk(col, tau1) for col in (signs * x).T], axis=1)
+    else:
+        eb = gen.eig()
+        sign_layer = eb.diagonal_operator(split.signs)
+        first = eb.row(basis.index_of(0))
+        end = eb.row(basis.index_of(z_star))
+        w = -1j * eb.w
+
+        def start(tau0):
+            return first * np.exp(tau0 * w)
+
+        def W(x):
+            return w * x
+
+        def layer(x, tau1):
+            return np.exp(tau1 * w)[:, None] * sign_layer(x)
+
+    def success(tau0: float, tau1: float):
+        x = np.zeros((len(first), 6), dtype=complex)
+        x[:, 0] = start(tau0)
+        x[:, 1] = W(x[:, 0])
+        x[:, 2] = W(x[:, 1])
         for _ in range(p):
-            c = walk * layer(c)
-        return float(abs(end @ c) ** 2)
+            x = layer(x, tau1)
+            c, r, _, t, q, u = x.T
+            wc = W(c)
+            u += W(wc + 2.0 * t)
+            t += wc
+            q += W(r)
+        a = end @ x
+        f = abs(a[0]) ** 2
+        grad = 2.0 * np.array([(a[0].conjugate() * a[1]).real,
+                               (a[0].conjugate() * a[3]).real])
+        h01 = (a[1].conjugate() * a[3] + a[0].conjugate() * a[4]).real
+        hess = 2.0 * np.array(
+            [[abs(a[1]) ** 2 + (a[0].conjugate() * a[2]).real, h01],
+             [h01, abs(a[3]) ** 2 + (a[0].conjugate() * a[5]).real]])
+        return float(f), grad, hess
     return success
 
 
@@ -297,46 +347,98 @@ def evaluate_product(
     return success_probability(run_ansatz(sched, gen), [basis.index_of(z_star)])
 
 
+def _trust_region_step(grad: np.ndarray, hess: np.ndarray,
+                       radius: float) -> np.ndarray:
+    """The exact minimiser s of the model grad.s + s.hess.s / 2 over
+    |s| <= radius in 2-D (More & Sorensen, SIAM J. Sci. Stat. Comput. 4,
+    553, 1983).
+
+    In the eigenbasis of ``hess`` the step with shift sigma is
+    -grad_i / (lambda_i + sigma), whose norm falls as sigma grows past
+    -lambda_min.  The Newton step (sigma = 0) is taken when ``hess`` is
+    positive definite and it lies inside the region; otherwise sigma is
+    bisected to put the step on the boundary.  In the hard case, where grad
+    has no component along the lowest eigenvector, the boundary is reached
+    by adding that eigenvector.
+    """
+    lam, vecs = np.linalg.eigh(hess)
+    g = vecs.T @ grad
+    if lam[0] > 0.0 and np.hypot(*(g / lam)) <= radius:
+        return -(vecs @ (g / lam))
+    lo = max(0.0, -lam[0])
+    hi = lo + np.hypot(*grad) / radius
+    for _ in range(TRUST_REGION_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if np.hypot(*(g / (lam + mid))) > radius:
+            lo = mid
+        else:
+            hi = mid
+    shifted = lam + hi
+    s = -np.divide(g, shifted, out=np.zeros(2), where=shifted > 0.0)
+    s[0] += np.copysign(np.sqrt(max(radius * radius - s @ s, 0.0)), s[0])
+    return vecs @ s
+
+
 def optimize_product(
     basis: SubspaceBasis,
     gen: WalkGenerator,
     z_star: int,
     p: int,
 ) -> ProductResult:
-    """Locally optimize (tau0, tau1) from the analytic seed with Nelder-Mead."""
+    """Locally optimize (tau0, tau1) from the analytic seed by trust-region
+    Newton on the exact success probability, gradient and Hessian.
+
+    Each iteration takes the exact minimiser of the quadratic model of
+    1 - f over a disc (``_trust_region_step``), whose radius starts at
+    ``SIMPLEX_SCALE``, doubles after a boundary step with ratio of actual to
+    predicted gain rho > 0.75 and is quartered when rho < 0.25; a step with
+    rho > 0 is accepted.  The search stops, converged, at an evaluated step
+    shorter than ``CONVERGENCE_TOL`` or at a gradient norm below
+    ``GRADIENT_TOL``, and unconverged after ``MAX_EVALS`` evaluations; each
+    evaluation computes (f, grad f, Hessian of f).  The objective sees
+    (|x0|, |x1|), so the returned walk times are non-negative.
+    """
     if not 1 <= p <= MAX_DEPTH:
         raise ValueError(f"supported depths are 1..{MAX_DEPTH}")
     split = split_generator(gen, z_star)
     seed = analytic_seed(chain_parameters(split), p)
     success = _product_success(basis, gen, z_star, p, split)
 
-    def objective(x: np.ndarray) -> float:
-        return 1.0 - success(abs(x[0]), abs(x[1]))
+    def evaluate(x: np.ndarray):
+        f, grad, hess = success(abs(x[0]), abs(x[1]))
+        sign = np.where(x < 0.0, -1.0, 1.0)
+        return f, sign * grad, np.outer(sign, sign) * hess
 
-    x0 = np.array(seed, dtype=float)
-    simplex = np.array([x0, x0 + [SIMPLEX_SCALE, 0.0], x0 + [0.0, SIMPLEX_SCALE]])
-    res = scipy.optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": CONVERGENCE_TOL,
-            "fatol": CONVERGENCE_TOL,
-            "maxfev": MAX_EVALS,
-        },
-    )
-    tau0, tau1 = float(abs(res.x[0])), float(abs(res.x[1]))
-    success = 1.0 - float(res.fun)
+    x = np.array(seed, dtype=float)
+    f, grad, hess = evaluate(x)
+    evaluations = 1
+    radius = SIMPLEX_SCALE
+    converged = bool(np.hypot(*grad) < GRADIENT_TOL)
+    while not converged and evaluations < MAX_EVALS:
+        s = _trust_region_step(-grad, -hess, radius)
+        f_new, grad_new, hess_new = evaluate(x + s)
+        evaluations += 1
+        gain = grad @ s + 0.5 * s @ hess @ s
+        rho = (f_new - f) / gain if gain > 0.0 else -1.0
+        step = np.hypot(*s)
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and step >= 0.999 * radius:
+            radius *= 2.0
+        if rho > 0.0:
+            x, f, grad, hess = x + s, f_new, grad_new, hess_new
+        converged = bool(step < CONVERGENCE_TOL
+                         or np.hypot(*grad) < GRADIENT_TOL)
+    tau0, tau1 = float(abs(x[0])), float(abs(x[1]))
     t_eff = tau0 + p * tau1
     j_eff = float(np.pi / (2.0 * t_eff))
     return ProductResult(
         tau0=tau0,
         tau1=tau1,
-        success=success,
+        success=f,
         depth=p,
         t_eff=t_eff,
         j_eff=j_eff,
-        evaluations=int(res.nfev),
-        converged=bool(res.success),
+        evaluations=evaluations,
+        converged=converged,
     )

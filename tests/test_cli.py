@@ -125,6 +125,21 @@ def test_schedule_file_rejects_bad_ring_or_target(tmp_path, command, ring,
     assert run([command, "--schedule", str(sched)]) == 1
 
 
+@pytest.mark.parametrize("field", [
+    {"ring": "x"},
+    {"tau0": "abc"},
+    {"tau0": -0.5},
+    {"layers": [[3.14]]},
+    {"layers": 5},
+    {"phasor": "foo"},
+], ids=["ring", "tau0", "negative-tau0", "short-layer", "layers", "phasor"])
+def test_schedule_file_rejects_bad_fields(tmp_path, field):
+    sched = _make_schedule(tmp_path)
+    body = json.loads(sched.read_text())
+    sched.write_text(json.dumps({**body, **field}))
+    assert run(["compile", "--schedule", str(sched)]) == 1
+
+
 def test_emulate_shots_require_outfile(tmp_path):
     sched = _make_schedule(tmp_path)
     assert run(["emulate", "--schedule", str(sched), "--shots", "50"]) == 1

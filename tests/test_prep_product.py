@@ -72,7 +72,7 @@ def test_eigenbasis_evaluation_matches_propagation(n):
               ss.str_to_bits(ss.mis_target(n)), literal):
         for p in depths:
             tau0, tau1 = rng.uniform(0.05, 2.0, size=2)
-            got = pp._product_success(basis, gen, z, p)(tau0, tau1)
+            got, _, _ = pp._product_success(basis, gen, z, p)(tau0, tau1)
             sched = pp.product_schedule(tau0, tau1, p, n, z)
             for method in ("dense", "krylov"):
                 psi = ctqw.run_ansatz(sched, gen, method=method)
@@ -90,7 +90,8 @@ def test_ring_16_objective_stays_in_the_eigenbasis(monkeypatch):
     monkeypatch.setattr(ctqw, "expm_krylov", no_krylov)
     basis, gen = _setup(16)
     z = ss.str_to_bits(ss.half_target(16))
-    assert 0.0 <= pp._product_success(basis, gen, z, 2)(0.3, 0.6) <= 1.0
+    success, _, _ = pp._product_success(basis, gen, z, 2)(0.3, 0.6)
+    assert 0.0 <= success <= 1.0
 
 
 def test_eigen_block_cutoff_falls_between_rings_18_and_19():
@@ -104,12 +105,13 @@ def test_eigen_block_cutoff_falls_between_rings_18_and_19():
 
 
 def test_objective_above_block_cutoff_propagates_with_krylov(monkeypatch):
-    # above the cutoff the objective never decomposes G; on ring 16
-    # (|V| = 2207 > DENSE_CUTOFF) it propagates the schedule with Krylov and
-    # agrees with the factored objective
-    basis, gen = _setup(16)
-    z = ss.str_to_bits(ss.half_target(16))
-    factored = pp._product_success(basis, gen, z, 2)
+    # above the cutoff the objective never decomposes G: the value, gradient
+    # and Hessian propagate in the subspace basis with one Krylov step per
+    # stack column and layer, after one for tau0, and agree with the
+    # factored ones
+    n, p = 12, 2
+    basis, gen = _setup(n)
+    fresh = ctqw.build_generator(basis)
 
     def no_eig(self):
         raise AssertionError("eigendecomposition above the block cutoff")
@@ -121,15 +123,63 @@ def test_objective_above_block_cutoff_propagates_with_krylov(monkeypatch):
         return expm_krylov(*args, **kwargs)
 
     expm_krylov = ctqw.expm_krylov
-    fresh = ctqw.build_generator(basis)
-    monkeypatch.setattr(pp, "EIGEN_BLOCK_CUTOFF", ctqw.largest_block(fresh) - 1)
-    monkeypatch.setattr(ctqw.WalkGenerator, "eig", no_eig)
-    monkeypatch.setattr(ctqw, "expm_krylov", counted_krylov)
-    krylov = pp._product_success(basis, fresh, z, 2)
-    for tau0, tau1 in ((0.3, 0.6), (1.1, 0.2)):
-        assert krylov(tau0, tau1) == pytest.approx(factored(tau0, tau1),
-                                                   abs=1e-10)
-    assert len(calls) == 2 * 3
+    for z in (ss.str_to_bits(ss.half_target(n)),
+              ss.str_to_bits(ss.mis_target(n))):
+        factored = pp._product_success(basis, gen, z, p)
+        with monkeypatch.context() as m:
+            m.setattr(pp, "EIGEN_BLOCK_CUTOFF", ctqw.largest_block(fresh) - 1)
+            m.setattr(ctqw.WalkGenerator, "eig", no_eig)
+            m.setattr(ctqw, "expm_krylov", counted_krylov)
+            krylov = pp._product_success(basis, fresh, z, p)
+            for tau in ((0.3, 0.6), (1.1, 0.2)):
+                for got, ref in zip(krylov(*tau), factored(*tau)):
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+    assert len(calls) == 2 * 2 * (1 + 6 * p)
+
+
+@pytest.mark.parametrize("n", (5, 9, 12))
+def test_objective_derivatives_match_central_differences(n):
+    # the factored (f, grad f, Hessian of f) against central differences of
+    # the independent evaluator, which propagates the schedule in the
+    # subspace basis
+    basis, gen = _setup(n)
+    rng = np.random.default_rng(n)
+    for z in (ss.str_to_bits(ss.half_target(n)),
+              ss.str_to_bits(ss.mis_target(n))):
+        for p in (1, 2, 3):
+            tau = rng.uniform(0.1, 1.5, size=2)
+
+            def f(d0, d1):
+                return pp.evaluate_product(basis, gen, z, p,
+                                           tau[0] + d0, tau[1] + d1)
+
+            value, grad, hess = pp._product_success(basis, gen, z, p)(*tau)
+            assert value == pytest.approx(f(0, 0), abs=1e-12)
+            h = 1e-6
+            fd_grad = [(f(h, 0) - f(-h, 0)) / (2 * h),
+                       (f(0, h) - f(0, -h)) / (2 * h)]
+            np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-8)
+            h = 1e-4
+            fd_hess = np.array([
+                [f(h, 0) - 2 * f(0, 0) + f(-h, 0),
+                 (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / 4],
+                [0.0, f(0, h) - 2 * f(0, 0) + f(0, -h)]]) / h**2
+            fd_hess[1, 0] = fd_hess[0, 1]
+            np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-5)
+
+
+def test_stacked_diagonal_operator_equals_column_by_column():
+    basis, gen = _setup(10)
+    eb = gen.eig()
+    rng = np.random.default_rng(0)
+    apply = eb.diagonal_operator(rng.choice([-1.0, 1.0], size=len(basis)))
+    stack = (rng.normal(size=(len(eb.w), 6))
+             + 1j * rng.normal(size=(len(eb.w), 6)))
+    got = apply(stack)
+    for j in range(stack.shape[1]):
+        np.testing.assert_allclose(
+            got[:, j], apply(np.ascontiguousarray(stack[:, j])),
+            rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("row", _rows(9), ids=lambda r: f"n{r[0]}-{r[2]}-p{r[3]}")
@@ -193,3 +243,49 @@ def test_product_schedule_shape():
     assert sched.phasor_kind == "local"
     # mask covers exactly the complement of the target
     assert sched.target_mask == ss.str_to_bits("111010")
+
+
+def test_optimizer_climbs_from_a_flat_fallback_seed():
+    # ring 16's mis target at depth 1 seeds with the small-tau0 fallback,
+    # where the success is ~5.5e-7 and the gradient tiny; exact curvature
+    # carries the search out to the optimum
+    n = 16
+    basis, gen = _setup(n)
+    z = ss.str_to_bits(ss.mis_target(n))
+    model = pp.chain_parameters(pp.split_generator(gen, z))
+    seed = pp.analytic_seed(model, 1)
+    assert seed[0] == 0.1
+    assert pp.evaluate_product(basis, gen, z, 1, *seed) < 1e-6
+    res = pp.optimize_product(basis, gen, z, 1)
+    assert res.converged
+    assert res.success >= 0.97545
+
+
+def test_optimizer_reaches_at_least_the_nelder_mead_optimum():
+    # Nelder-Mead stopped on ring 6's 000101 at depth 4 at success 0.691641;
+    # the trust region reaches a better optimum (0.975451)
+    basis, gen = _setup(6)
+    res = pp.optimize_product(basis, gen, ss.str_to_bits("000101"), 4)
+    assert res.converged
+    assert res.success >= 0.691641
+
+
+def test_optimizer_reports_an_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(pp, "MAX_EVALS", 2)
+    basis, gen = _setup(8)
+    res = pp.optimize_product(basis, gen, ss.str_to_bits(ss.half_target(8)), 2)
+    assert res.evaluations == 2
+    assert not res.converged
+
+
+@pytest.mark.parametrize("n,target,p", [
+    (5, "00001", 1), (6, "000001", 3), (8, "00010101", 4)])
+def test_optimizer_walk_times_are_non_negative(n, target, p):
+    # on these the search steps across tau = 0; the objective sees |tau|
+    basis, gen = _setup(n)
+    z = ss.str_to_bits(target)
+    res = pp.optimize_product(basis, gen, z, p)
+    assert res.converged
+    assert res.tau0 >= 0.0 and res.tau1 >= 0.0
+    assert res.success == pytest.approx(
+        pp.evaluate_product(basis, gen, z, p, res.tau0, res.tau1), abs=1e-12)
