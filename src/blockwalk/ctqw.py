@@ -15,7 +15,12 @@ span two G-invariant subspaces on which G is the same real matrix.  k = 0
 and k = N/2 have one copy, whose R-even rows come first and R-odd rows
 follow; G does not couple the two, so their eigenvectors are
 block-diagonal, and the even rows of k = 0 are the dihedral-symmetric
-(bracelet) sector.  The eigenvectors are kept factored as
+(bracelet) sector.  Each block is built from G's rows at the rotation
+orbits' least members only, as in momentum-basis exact diagonalisation.
+Every walk step flips one bit, so G anticommutes with (-1)^(Hamming
+weight), the sublattice symmetry of the PXP model (Turner et al., Nat.
+Phys. 14, 745, 2018): each parity part of a block is [[0, B], [B^T, 0]]
+and is decomposed by the SVD of B.  The eigenvectors are kept factored as
 V = F blockdiag(U_k (x) I_c): a sparse real matrix of momentum columns,
 ordered (block, row, copy), and a zero-padded stack of block eigenvectors,
 so V c and V^T x cost one sparse product and one batched block product in
@@ -118,7 +123,10 @@ class Eigenbasis:
     b x b) serve every copy.  Every block is reflection-adapted: the one-copy
     blocks k = 0 and k = N/2 hold their ``even[k]`` reflection-even rows
     first and their odd rows after them, and U[k] is block-diagonal between
-    the two (a two-copy block counts all its rows as even).  Padding slots
+    the two (a two-copy block counts all its rows as even).  Within each
+    part the eigenvalues ascend; they are -s, zeros and +s, for the
+    singular values s of the part's even-by-odd Hamming-weight block
+    (``_chiral_eigenpairs``).  Padding slots
     and missing copies have empty columns in F and w = 0, so
     V diag(w) V^T = G and they stay zero under ``to_eigen`` and
     ``to_states``.  In the real view of a complex coefficient vector,
@@ -228,8 +236,10 @@ def largest_block(gen: WalkGenerator) -> int:
 
 
 def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
-    """Reflection-adapted momentum columns F in one vectorised pass, then
-    eigh of each parity of each block of F^T G F, read from its first copy.
+    """Reflection-adapted momentum columns F in one vectorised pass, each
+    block of F^T G F built from G's rows at the orbit representatives
+    (``_block_entries``), then each parity part of each block decomposed by
+    the SVD of its chiral half (``_chiral_eigenpairs``).
 
     With e_O the momentum-k state of rotation orbit O (minimum r, period L;
     amplitude e^{2 pi i k m / N} / sqrt(L) on T^m r), the bit reversal R
@@ -266,6 +276,7 @@ def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
     f *= np.where(chiral,
                   np.where(lower, 1.0, np.exp(1j * theta)) / np.sqrt(2.0),
                   np.exp(0.5j * theta))
+    upper = np.arange(len(ks) + chiral.sum()) >= len(ks)
     ks = np.concatenate([ks, ks[chiral]])
     states = np.concatenate([states, states[chiral]])
     o = np.concatenate([np.minimum(o, mo), np.maximum(o, mo)[chiral]])
@@ -280,35 +291,102 @@ def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
     # rows of a block: its even orbits in order, then its odd orbits
     rank = np.where(odd_row, even[:, None] + np.cumsum(odd_row, axis=1),
                     np.cumsum(even_row, axis=1)) - 1
+    slot = ks * b + rank[ks, o]
+    h, odd_weight = _block_entries(gen, ks, states, slot, f, upper, b)
+    w, u = _chiral_eigenpairs(h, odd_weight, even, sizes, copies)
     # copy 0 holds sqrt(2) Re f and copy 1 sqrt(2) Im f; one copy holds the
     # real or the imaginary part
     f *= np.sqrt(copies[ks])
-    slot = ks * b + rank[ks, o]
     two = pair[ks]
     f = sp.csr_matrix(
         (np.concatenate([np.where(odd, f.imag, f.real), f.imag[two]]),
          (np.concatenate([states, states[two]]),
           np.concatenate([slot * c, slot[two] * c + 1]))),
         shape=(gen.dim, len(sizes) * b * c))
-    ft = f.T.tocsr()
-    # F^T G F is block diagonal and equal on both copies of a block; the
-    # first copy's block is unpacked into its slot of u and each parity
-    # decomposed there.  Entries between blocks or parities are rounding
-    # noise.
-    f0t = ft[::c]
-    h = f0t @ (gen.matrix @ f0t.T)
-    row = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-    col = h.indices
-    blk = row // b
-    same = (blk == col // b) & ((row % b < even[blk]) == (col % b < even[blk]))
-    u = np.zeros((len(sizes), b, b))
-    u[blk[same], row[same] % b, col[same] % b] = h.data[same]
-    w = np.zeros((len(sizes), b, c))
+    return Eigenbasis(w.ravel(), f, u, sizes, copies, even, f.T.tocsr())
+
+
+def _block_entries(gen: WalkGenerator, ks, states, slot, f, upper, b):
+    """The real blocks h[k] of G on the copy-0 columns, from G's rows at the
+    orbit representatives, and the weight parity of every block row.
+
+    The entries (ks, states, slot, f) are the nonzero amplitudes f of the
+    columns' states (before the sqrt(copies) factor), ``upper`` marking
+    those on the upper row of a chiral pair.  f_a and G f_b of one momentum
+    k change by the same phase e^{2 pi i k m / N} under T^m, so
+    <f_a, G f_b> = sum_O L_O conj(f_a(r_O)) (G f_b)(r_O) over the orbits'
+    minima r_O, and h[k]_ab is its real part: the inner product of the
+    copy-0 columns, on k = 0 and k = N/2 too, where f is real or imaginary.
+    A neighbour s = T^m r' of r_O has f_b(s) = e^{2 pi i k m / N} f_b(r'),
+    so only the amplitudes at the representatives are read, and each edge
+    out of a representative adds one term per momentum and pair of rows.
+    Every edge flips one bit, so rows of equal weight parity get no entry.
+    Entries between the reflection parts of k = 0 and k = N/2 are rounding
+    noise and are never read.  Off rings (N = 1) every state is its own
+    representative and h[0] = G.
+    """
+    n, orbit, position, period = gen.sectors()[:4]
+    nk = n // 2 + 1
+    # each orbit's amplitudes at its representative and their slots, per
+    # momentum: one row, or a chiral pair's two; zero where k is not admitted
+    at = position[states] == 0
+    rep = orbit[states[at]], ks[at], upper[at].astype(np.int64)
+    amp = np.zeros((orbit.max() + 1, nk, 2), dtype=complex)
+    place = np.zeros(amp.shape, dtype=np.int64)
+    amp[rep], place[rep] = f[at], slot[at]
+    odd_weight = np.zeros(nk * b, dtype=bool)
+    odd_weight[slot[at]] = popcount_array(gen.basis.states[states[at]]) % 2
+    # the edges (r_O, s) of G out of the representatives, s = T^m r'
+    g = gen.matrix
+    source = np.repeat(np.arange(gen.dim), np.diff(g.indptr))
+    edge = position[source] == 0
+    s = g.indices[edge]
+    src, dst = orbit[source[edge]], orbit[s]
+    phase = np.exp((2j * np.pi / n) * np.outer(position[s], np.arange(nk)))
+    left = period[source[edge], None, None] * amp[src].conj()
+    right = phase[:, :, None] * amp[dst]
+    terms = (left[..., None] * right[:, :, None, :]).real
+    index = place[src][..., None] * b + (place[dst] % b)[:, :, None, :]
+    h = np.bincount(index.ravel(), terms.ravel(), minlength=nk * b * b)
+    return h.reshape(nk, b, b), odd_weight.reshape(nk, b)
+
+
+def _chiral_eigenpairs(h, odd_weight, even, sizes, copies):
+    """Eigenvalues w (n_blocks, b, c) and eigenvectors U of every parity part
+    of every block h[k], ascending within each part.
+
+    G anticommutes with (-1)^(Hamming weight), and every state of an orbit,
+    and of its mirror, has the orbit's weight, so a part whose rows split
+    into m_e even-weight and m_o odd-weight rows is [[0, B], [B^T, 0]].
+    With B = X diag(s) Y^T (full SVD) its eigenpairs are -s with
+    [x; -y] / sqrt(2), the |m_e - m_o| zero modes of the larger side's null
+    space, and +s with [x; y] / sqrt(2).  A part with rows of one weight
+    parity only is zero, and its U the identity.
+    """
+    u = np.zeros_like(h)
+    w = np.zeros(h.shape[:2] + (int(copies.max()),))
+    r = np.sqrt(0.5)
     for k, size in enumerate(sizes):
-        for part in (slice(0, even[k]), slice(even[k], size)):
-            wk, u[k, part, part] = np.linalg.eigh(u[k, part, part])
-            w[k, part, :copies[k]] = wk[:, None]
-    return Eigenbasis(w.ravel(), f, u, sizes, copies, even, ft)
+        for lo, hi in ((0, even[k]), (even[k], size)):
+            rows = np.arange(lo, hi)
+            xs, ys = rows[~odd_weight[k, lo:hi]], rows[odd_weight[k, lo:hi]]
+            if not (len(xs) and len(ys)):
+                u[k, rows, rows] = 1.0
+                continue
+            x, s, yt = np.linalg.svd(h[k][xs][:, ys])
+            y, m = yt.T, len(s)
+            neg, zero, pos = slice(lo, lo + m), slice(lo + m, hi - m), \
+                slice(hi - m, hi)
+            u[k, xs, neg], u[k, ys, neg] = r * x[:, :m], -r * y[:, :m]
+            u[k, xs, pos], u[k, ys, pos] = r * x[:, m - 1::-1], \
+                r * y[:, m - 1::-1]
+            if len(xs) > len(ys):
+                u[k, xs, zero] = x[:, m:]
+            else:
+                u[k, ys, zero] = y[:, m:]
+            w[k, neg, :copies[k]] = -s[:, None]
+            w[k, pos, :copies[k]] = s[::-1, None]
+    return w, u
 
 
 def build_generator(basis: SubspaceBasis) -> WalkGenerator:

@@ -390,22 +390,25 @@ def bootstrap_ci(
     rng = np.random.default_rng(seed)
     basis, channel = model.basis, model.channel
     point = model.target_probability(target)
-    arr = np.asarray(shots.shots, dtype=np.uint64)
     uniq, _ = _shot_histogram(shots, basis)
+    # each shot's distinct value
+    inverse = np.searchsorted(uniq, np.asarray(shots.shots, dtype=np.uint64))
+    n, u = len(inverse), len(uniq)
+    L, tables = _em_inputs(uniq, basis, channel)
     # a resample is a histogram over the same distinct shots, so all of them
     # share one likelihood matrix and are fitted together, in row blocks of
-    # bounded size
-    hist = np.zeros((resamples, len(uniq)), dtype=np.int64)
-    for r in range(resamples):
-        sample = rng.choice(arr, size=len(arr), replace=True)
-        hist[r] = np.bincount(np.searchsorted(uniq, sample),
-                              minlength=len(uniq))
-    L, tables = _em_inputs(uniq, basis, channel)
-    block = max(1, _EM_BLOCK_ELEMENTS // (basis.n_bits * len(uniq)))
-    phi_v = np.concatenate([
-        _em_fit(hist[i:i + block], L, tables, model.prior, model.eps,
-                model.max_iter)[0]
-        for i in range(0, resamples, block)])
+    # bounded size; a block's draws are made at once, the same stream as one
+    # draw of len(shots) per resample
+    block = max(1, _EM_BLOCK_ELEMENTS // (basis.n_bits * u))
+    phi_v = []
+    for i in range(0, resamples, block):
+        rows = min(block, resamples - i)
+        drawn = inverse[rng.choice(n, size=(rows, n))]
+        drawn += u * np.arange(rows)[:, None]
+        hist = np.bincount(drawn.ravel(), minlength=rows * u).reshape(rows, u)
+        phi_v.append(_em_fit(hist, L, tables, model.prior, model.eps,
+                             model.max_iter)[0])
+    phi_v = np.concatenate(phi_v)
     tgt = [int(target)] if isinstance(target, (int, np.integer)) else target
     estimates = sum(phi_v[:, basis.index_of(t)] for t in tgt)
     tail = (1.0 - level) / 2.0

@@ -379,6 +379,30 @@ def _trust_region_step(grad: np.ndarray, hess: np.ndarray,
     return vecs @ s
 
 
+def _bounded_step(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                  radius: float) -> np.ndarray:
+    """A trust-region ascent step s for f at x >= 0 that keeps x + s >= 0.
+
+    The disc step (``_trust_region_step``) is taken when it stays feasible.
+    Otherwise every coordinate it would take negative is put on its face,
+    s_i = -x_i, and the free coordinate j gets the exact minimiser of the
+    model of 1 - f along it, a t + c t^2 / 2 with a = -(grad + hess s)_j and
+    c = -hess_jj, over the rest of the radius and clipped at its own bound
+    (the face subproblem of Coleman & Li, SIAM J. Optim. 6, 418, 1996).
+    """
+    s = _trust_region_step(-grad, -hess, radius)
+    hit = x + s < 0.0
+    if not hit.any():
+        return s
+    s = np.where(hit, -x, 0.0)
+    for j in np.flatnonzero(~hit):
+        a, c = -(grad[j] + hess[j] @ s), -hess[j, j]
+        room = np.sqrt(max(radius * radius - s @ s, 0.0))
+        t = -a / c if c > 0.0 and abs(a) <= c * room else -np.copysign(room, a)
+        s[j] = max(t, -x[j])
+    return s
+
+
 def optimize_product(
     basis: SubspaceBasis,
     gen: WalkGenerator,
@@ -395,8 +419,10 @@ def optimize_product(
     rho > 0 is accepted.  The search stops, converged, at an evaluated step
     shorter than ``CONVERGENCE_TOL`` or at a gradient norm below
     ``GRADIENT_TOL``, and unconverged after ``MAX_EVALS`` evaluations; each
-    evaluation computes (f, grad f, Hessian of f).  The objective sees
-    (|x0|, |x1|), so the returned walk times are non-negative.
+    evaluation computes (f, grad f, Hessian of f).  Walk times are bounded
+    below by 0: a step that would cross a bound stops on it and moves along
+    the face (``_bounded_step``), and the gradient test drops the components
+    that push out through an active bound.
     """
     if not 1 <= p <= MAX_DEPTH:
         raise ValueError(f"supported depths are 1..{MAX_DEPTH}")
@@ -404,19 +430,18 @@ def optimize_product(
     seed = analytic_seed(chain_parameters(split), p)
     success = _product_success(basis, gen, z_star, p, split)
 
-    def evaluate(x: np.ndarray):
-        f, grad, hess = success(abs(x[0]), abs(x[1]))
-        sign = np.where(x < 0.0, -1.0, 1.0)
-        return f, sign * grad, np.outer(sign, sign) * hess
+    def stationary(x, grad):
+        return bool(np.hypot(*np.where((x <= 0.0) & (grad < 0.0), 0.0, grad))
+                    < GRADIENT_TOL)
 
     x = np.array(seed, dtype=float)
-    f, grad, hess = evaluate(x)
+    f, grad, hess = success(*x)
     evaluations = 1
     radius = SIMPLEX_SCALE
-    converged = bool(np.hypot(*grad) < GRADIENT_TOL)
+    converged = stationary(x, grad)
     while not converged and evaluations < MAX_EVALS:
-        s = _trust_region_step(-grad, -hess, radius)
-        f_new, grad_new, hess_new = evaluate(x + s)
+        s = _bounded_step(x, grad, hess, radius)
+        f_new, grad_new, hess_new = success(*(x + s))
         evaluations += 1
         gain = grad @ s + 0.5 * s @ hess @ s
         rho = (f_new - f) / gain if gain > 0.0 else -1.0
@@ -427,9 +452,8 @@ def optimize_product(
             radius *= 2.0
         if rho > 0.0:
             x, f, grad, hess = x + s, f_new, grad_new, hess_new
-        converged = bool(step < CONVERGENCE_TOL
-                         or np.hypot(*grad) < GRADIENT_TOL)
-    tau0, tau1 = float(abs(x[0])), float(abs(x[1]))
+        converged = bool(step < CONVERGENCE_TOL or stationary(x, grad))
+    tau0, tau1 = float(x[0]), float(x[1])
     t_eff = tau0 + p * tau1
     j_eff = float(np.pi / (2.0 * t_eff))
     return ProductResult(

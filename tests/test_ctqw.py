@@ -195,6 +195,75 @@ def test_one_copy_blocks_split_by_reflection_parity(n):
     # every other block is all even
     pair = eb.copies == 2
     assert (eb.even[pair] == eb.sizes[pair]).all()
+    # the bracelet sector's eigenvalues come in ascending order
+    w, _ = eb.symmetric_sector()
+    assert (np.diff(w) >= 0.0).all()
+
+
+def _copy0_blocks(eb, gen):
+    """F^T G F on the copy-0 slots of each block, formed by the sparse
+    triple product."""
+    b = eb.U.shape[1]
+    c = eb.F.shape[1] // eb.U.shape[0] // b
+    h = (eb.ft @ gen.matrix @ eb.F).tocsr()
+    return [h[slots][:, slots].toarray()
+            for slots in ((k * b + np.arange(size)) * c
+                          for k, size in enumerate(eb.sizes))]
+
+
+CHIRAL_GRAPHS = {**GRAPHS, **{f"ring{n}": ss.ring_graph(n) for n in range(13, 17)}}
+
+
+@pytest.mark.parametrize("graph", CHIRAL_GRAPHS.values(),
+                         ids=CHIRAL_GRAPHS.keys())
+def test_parity_parts_are_chiral(graph):
+    # every walk edge flips one bit, and every momentum column lies on
+    # states of one weight parity, so F^T G F has no entry between columns
+    # of equal parity; each part's spectrum is then -s, |m_e - m_o| zeros
+    # and +s for the singular values s of its even-by-odd block
+    basis = ss.enumerate_subspace(graph)
+    gen = ctqw.build_generator(basis)
+    eb = gen.eig()
+    b = eb.U.shape[1]
+    c = eb.F.shape[1] // eb.U.shape[0] // b
+    f = eb.F.tocsc()
+    weight = basis.hamming_weights() % 2
+    w = eb.w.reshape(len(eb.sizes), b, c)
+    for k, h in enumerate(_copy0_blocks(eb, gen)):
+        slots = (k * b + np.arange(eb.sizes[k])) * c
+        odd = np.array([weight[f[:, j].indices].max() for j in slots], bool)
+        assert all((weight[f[:, j].indices] == o).all()
+                   for j, o in zip(slots, odd))
+        for part in (slice(0, eb.even[k]), slice(eb.even[k], eb.sizes[k])):
+            hp, op = h[part, part], odd[part]
+            assert not hp[np.ix_(op, op)].any()
+            assert not hp[np.ix_(~op, ~op)].any()
+            s = np.linalg.svd(hp[np.ix_(~op, op)], compute_uv=False)
+            zeros = abs(int(op.sum()) - int((~op).sum()))
+            ref = np.concatenate([-s, np.zeros(zeros), s[::-1]])
+            assert np.abs(w[k, part, 0] - ref).max(initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("graph", CHIRAL_GRAPHS.values(),
+                         ids=CHIRAL_GRAPHS.keys())
+def test_blocks_from_orbit_representatives_match_triple_product(
+        graph, monkeypatch):
+    # the blocks built from G's rows at the orbit minima are the own-block
+    # entries of F^T G F
+    built = []
+
+    def spy(*args):
+        out = block_entries(*args)
+        built.append(out[0])
+        return out
+    block_entries = ctqw._block_entries
+    monkeypatch.setattr(ctqw, "_block_entries", spy)
+    gen = ctqw.build_generator(ss.enumerate_subspace(graph))
+    eb = gen.eig()
+    for h, ref in zip(built[0], _copy0_blocks(eb, gen)):
+        size = len(ref)
+        assert np.abs(h[:size, :size] - ref).max() < 1e-13
+        assert not h[size:].any() and not h[:, size:].any()
 
 
 def test_ring_16_largest_eigh_block_halves():

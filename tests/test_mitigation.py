@@ -190,6 +190,32 @@ def test_bootstrap_ci_fits_resamples_with_model_settings():
                                  abs=1e-10)
 
 
+@pytest.mark.parametrize("n_shots", [37, 1001])
+def test_bootstrap_ci_draws_one_resample_per_row(n_shots, monkeypatch):
+    # the resamples are drawn a row block at once; each row's histogram is
+    # the one of rng.choice(shots, len(shots)) drawn resample by resample,
+    # and a short last block takes the rest
+    basis = _basis(5)
+    ch = mt.STANDARD_CHANNEL
+    probs = np.full(len(basis), 1.0 / len(basis))
+    shots = _shots_from_probs(basis, probs, n_shots, ch, seed=n_shots)
+    model = mt.em_reconstruct(shots, basis, ch, max_iter=2)
+    uniq, _ = mt._shot_histogram(shots, basis)
+    monkeypatch.setattr(mt, "_EM_BLOCK_ELEMENTS", 7 * 5 * len(uniq))
+    fitted = []
+    em_fit = mt._em_fit
+    monkeypatch.setattr(mt, "_em_fit",
+                        lambda counts, *a: fitted.append(counts) or
+                        em_fit(counts, *a))
+    mt.bootstrap_ci(shots, model, int(basis.states[1]), resamples=17, seed=3)
+    assert [len(h) for h in fitted] == [7, 7, 3]
+    rng = np.random.default_rng(3)
+    arr = np.asarray(shots.shots, dtype=np.uint64)
+    ref = [np.bincount(np.searchsorted(uniq, rng.choice(arr, size=len(arr))),
+                       minlength=len(uniq)) for _ in range(17)]
+    assert np.array_equal(np.concatenate(fitted), np.array(ref))
+
+
 def test_coverage_smoke():
     # small version of the acceptance coverage property: >= 8 of 10 trials
     basis = _basis(6)

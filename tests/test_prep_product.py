@@ -281,7 +281,7 @@ def test_optimizer_reports_an_exhausted_budget(monkeypatch):
 @pytest.mark.parametrize("n,target,p", [
     (5, "00001", 1), (6, "000001", 3), (8, "00010101", 4)])
 def test_optimizer_walk_times_are_non_negative(n, target, p):
-    # on these the search steps across tau = 0; the objective sees |tau|
+    # on these the disc step would cross tau = 0; it stops on the bound
     basis, gen = _setup(n)
     z = ss.str_to_bits(target)
     res = pp.optimize_product(basis, gen, z, p)
@@ -289,3 +289,17 @@ def test_optimizer_walk_times_are_non_negative(n, target, p):
     assert res.tau0 >= 0.0 and res.tau1 >= 0.0
     assert res.success == pytest.approx(
         pp.evaluate_product(basis, gen, z, p, res.tau0, res.tau1), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,target,p,before", [
+    (10, "0000000001", 2, 0.0281452604), (14, "00000000000101", 1, 0.0081053861)])
+def test_optimizer_settles_on_the_tau0_bound(n, target, p, before):
+    # the optimum lies on tau0 = 0; a search that saw only |tau0| bounced
+    # across the kink there for 33 evaluations and stopped at tau0 ~ 1e-7
+    # with the success in ``before``
+    basis, gen = _setup(n)
+    res = pp.optimize_product(basis, gen, ss.str_to_bits(target), p)
+    assert res.converged
+    assert res.evaluations <= 15
+    assert 0.0 <= res.tau0 <= 1e-12
+    assert res.success >= before
