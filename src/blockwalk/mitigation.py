@@ -36,6 +36,8 @@ DEFAULT_MAX_ITER = 10_000
 DEFAULT_RESAMPLES = 1000
 # rows x bits x distinct shots per `_em_fit` call of the bootstrap
 _EM_BLOCK_ELEMENTS = 1 << 19
+# rows x shots per resample draw of the bootstrap
+_DRAW_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -397,15 +399,19 @@ def bootstrap_ci(
     L, tables = _em_inputs(uniq, basis, channel)
     # a resample is a histogram over the same distinct shots, so all of them
     # share one likelihood matrix and are fitted together, in row blocks of
-    # bounded size; a block's draws are made at once, the same stream as one
-    # draw of len(shots) per resample
+    # bounded size; a block's resamples are drawn a few rows at a time, the
+    # same stream as one draw of len(shots) per resample
     block = max(1, _EM_BLOCK_ELEMENTS // (basis.n_bits * u))
+    step = max(1, _DRAW_ELEMENTS // n)
     phi_v = []
     for i in range(0, resamples, block):
-        rows = min(block, resamples - i)
-        drawn = inverse[rng.choice(n, size=(rows, n))]
-        drawn += u * np.arange(rows)[:, None]
-        hist = np.bincount(drawn.ravel(), minlength=rows * u).reshape(rows, u)
+        hist = np.zeros((min(block, resamples - i), u), dtype=np.int64)
+        for j in range(0, len(hist), step):
+            rows = min(step, len(hist) - j)
+            drawn = inverse[rng.choice(n, size=(rows, n))]
+            drawn += u * np.arange(rows)[:, None]
+            hist[j:j + rows] = np.bincount(
+                drawn.ravel(), minlength=rows * u).reshape(rows, u)
         phi_v.append(_em_fit(hist, L, tables, model.prior, model.eps,
                              model.max_iter)[0])
     phi_v = np.concatenate(phi_v)

@@ -192,9 +192,9 @@ def test_bootstrap_ci_fits_resamples_with_model_settings():
 
 @pytest.mark.parametrize("n_shots", [37, 1001])
 def test_bootstrap_ci_draws_one_resample_per_row(n_shots, monkeypatch):
-    # the resamples are drawn a row block at once; each row's histogram is
-    # the one of rng.choice(shots, len(shots)) drawn resample by resample,
-    # and a short last block takes the rest
+    # the resamples are drawn three rows at a time into row blocks of 7;
+    # each row's histogram is the one of rng.choice(shots, len(shots))
+    # drawn resample by resample, and a short last block takes the rest
     basis = _basis(5)
     ch = mt.STANDARD_CHANNEL
     probs = np.full(len(basis), 1.0 / len(basis))
@@ -202,6 +202,7 @@ def test_bootstrap_ci_draws_one_resample_per_row(n_shots, monkeypatch):
     model = mt.em_reconstruct(shots, basis, ch, max_iter=2)
     uniq, _ = mt._shot_histogram(shots, basis)
     monkeypatch.setattr(mt, "_EM_BLOCK_ELEMENTS", 7 * 5 * len(uniq))
+    monkeypatch.setattr(mt, "_DRAW_ELEMENTS", 3 * n_shots)
     fitted = []
     em_fit = mt._em_fit
     monkeypatch.setattr(mt, "_em_fit",
