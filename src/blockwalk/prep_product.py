@@ -51,15 +51,14 @@ CONVERGENCE_TOL = 1e-6  # step length at which the search stops
 GRADIENT_TOL = 1e-10
 TRUST_REGION_BISECTIONS = 60
 # Largest rotation momentum block (``ctqw.largest_block``) for which the
-# objective decomposes G: the crossover of optimize_product (half target,
-# depths 1-2, one BLAS thread, one process per run) measured on the rotation
-# eigenbasis, where ring 18 (block 654) ran 1.1-1.2x faster factored than
-# with Krylov and ring 19 (block 984) 2-2.5x slower.  On the
-# reflection-adapted eigenbasis, whose eigh blocks are half as large, ring 18
-# runs 2.2-4.5x faster factored, ring 19 1.6-2.1x faster, and ring 20 (block
-# 1526) 0.6-1.2x, with factored peak memory 116, 150 and 228 MB against
-# Krylov's 88-100 MB: the crossover now lies near ring 20.  No workload runs
-# rings 19-20, so the cutoff has not been moved there.
+# objective decomposes G.  optimize_product (half target, one BLAS thread,
+# one process per run, eigenbasis built inside the call) runs factored
+# against Krylov in 0.04-0.07 against 0.21 s at ring 16 depth 1, 0.35 against
+# 0.80-1.03 s at ring 18 depth 2, 0.45-0.52 against 0.62-0.66 s at ring 19
+# (block 984) depth 1, and 1.19-1.35 against 1.06-1.21 s at ring 20 (block
+# 1526) depth 1, with peak memory 88, 120 and 205 MB against 64, 69 and
+# 77 MB at rings 18-20: the crossover lies near ring 20.  No workload runs
+# rings 19-20, so the cutoff stays between rings 18 and 19.
 EIGEN_BLOCK_CUTOFF = 800
 
 
