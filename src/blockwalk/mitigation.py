@@ -393,7 +393,7 @@ def bootstrap_ci(
     basis, channel = model.basis, model.channel
     point = model.target_probability(target)
     uniq, _ = _shot_histogram(shots, basis)
-    # each shot's distinct value
+    # each shot's index among the distinct shots
     inverse = np.searchsorted(uniq, np.asarray(shots.shots, dtype=np.uint64))
     n, u = len(inverse), len(uniq)
     L, tables = _em_inputs(uniq, basis, channel)
