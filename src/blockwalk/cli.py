@@ -423,7 +423,9 @@ def _run_instance(task: dict) -> dict:
                     res.tau0, res.tau1, depth, n, z)
                 out.update(tau0=res.tau0, tau1=res.tau1, j_eff=res.j_eff,
                            success=res.success, evaluations=res.evaluations,
-                           converged=res.converged)
+                           converged=res.converged,
+                           propagation="factored" if ctqw.factored(gen)
+                           else "krylov")
             else:
                 orbit = subspace.dihedral_orbit(z, n)
                 plan = prep_bracelet.prepare_bracelet(gen, orbit)
@@ -567,9 +569,9 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
         "instances": [
             {k: r.get(k) for k in
              ("ring", "target_spec", "depth", "runtime_s", "stage_s",
-              "evaluations", "converged", "leakage", "emulation_fidelity",
-              "warnings", "em_iterations", "em_converged", "error",
-              "failed_stage")
+              "evaluations", "converged", "propagation", "leakage",
+              "emulation_fidelity", "warnings", "em_iterations",
+              "em_converged", "error", "failed_stage")
              if k in r}
             for r in results
         ],

@@ -2,8 +2,8 @@
 
 The walk generator G is a real symmetric 0/1 matrix and is stored as float64.
 The walk propagator exp(-i tau G) v is computed either from G's cached real
-eigendecomposition (small bases, and always available as a cross-check) or
-by adaptive Lanczos/Krylov iteration with sparse matrix-vector products.
+eigendecomposition or by adaptive Lanczos/Krylov iteration with sparse
+matrix-vector products; ``factored`` is the one rule that picks between them.
 
 The eigendecomposition is blocked by ring momentum and parity.  When the
 basis is closed under rotating the ring, G commutes with the rotation and
@@ -44,6 +44,17 @@ from .subspace import (
     walk_edges,
 )
 
+# ``factored``'s limit on the largest momentum block.  optimize_product (half
+# target, one BLAS thread, one process per run, eigenbasis built inside the
+# call) runs factored against Krylov in 0.04-0.07 against 0.21 s at ring 16
+# depth 1, 0.35 against 0.80-1.03 s at ring 18 depth 2, 0.45-0.52 against
+# 0.62-0.66 s at ring 19 (block 984) depth 1, and 1.19-1.35 against
+# 1.06-1.21 s at ring 20 (block 1526) depth 1, with peak memory 88, 120 and
+# 205 MB against 64, 69 and 77 MB at rings 18-20: the crossover lies near
+# ring 20.  No workload runs rings 19-20, so the cutoff stays between rings
+# 18 and 19.
+EIGEN_BLOCK_CUTOFF = 800
+# Not read here: kept only for perfbench's checker and tracer, which read it.
 DENSE_CUTOFF = 2048
 KRYLOV_DIM = 60        # Lanczos vectors per Krylov step at most
 KRYLOV_SPLITS = 30     # step halvings before Krylov propagation gives up
@@ -233,6 +244,12 @@ def largest_block(gen: WalkGenerator) -> int:
     """Size of the largest rotation momentum block of the walk generator
     (cosine and sine columns of one momentum together)."""
     return int(gen.sectors()[-1].max())
+
+
+def factored(gen: WalkGenerator) -> bool:
+    """The one walk propagation rule: G's factored eigenbasis (``gen.eig()``)
+    up to ``EIGEN_BLOCK_CUTOFF``, Krylov steps beyond."""
+    return largest_block(gen) <= EIGEN_BLOCK_CUTOFF
 
 
 def _momentum_eigenbasis(gen: WalkGenerator) -> Eigenbasis:
@@ -488,13 +505,13 @@ def expm_krylov(matvec, v, tau, tol=1e-10):
 
 def evolve_walk(state: StateVector, gen: WalkGenerator, tau: float,
                 method: str = "auto") -> StateVector:
-    """Apply exp(-i tau G) to the state."""
+    """Apply exp(-i tau G) to the state; ``auto`` follows ``factored``."""
     if state.basis is not gen.basis and len(state.basis) != gen.dim:
         raise BasisMismatchError("state and generator dimensions differ")
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     if method == "auto":
-        method = "dense" if gen.dim <= DENSE_CUTOFF else "krylov"
+        method = "dense" if factored(gen) else "krylov"
     if method == "dense":
         amps = _expm_dense(gen, state.amplitudes, tau)
     elif method == "krylov":

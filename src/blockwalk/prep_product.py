@@ -7,11 +7,7 @@ an effective two-parameter chain model whose closed-form optimum seeds a
 trust-region Newton refinement of the exact success probability, on its
 exact gradient and Hessian in (tau0, tau1): forward-mode tangents carried
 through the schedule's own layer recurrence.  Each pi-phasor layer is the
-split's sign operator, so while the walk generator's largest momentum block
-is at most ``EIGEN_BLOCK_CUTOFF`` (rings up to 18) the success probability
-and its derivatives are evaluated in its factored momentum-parity
-eigenbasis, V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``), without
-forming V; larger blocks propagate the schedule with Krylov steps.
+split's sign operator; the walk layers propagate as ``ctqw.factored`` picks.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from .ctqw import (
     StateVector,
     WalkGenerator,
     evolve_walk,
-    largest_block,
+    factored,
     run_ansatz,
     success_probability,
 )
@@ -50,16 +46,7 @@ SIMPLEX_SCALE = 0.05    # initial trust radius in (tau0, tau1)
 CONVERGENCE_TOL = 1e-6  # step length at which the search stops
 GRADIENT_TOL = 1e-10
 TRUST_REGION_BISECTIONS = 60
-# Largest rotation momentum block (``ctqw.largest_block``) for which the
-# objective decomposes G.  optimize_product (half target, one BLAS thread,
-# one process per run, eigenbasis built inside the call) runs factored
-# against Krylov in 0.04-0.07 against 0.21 s at ring 16 depth 1, 0.35 against
-# 0.80-1.03 s at ring 18 depth 2, 0.45-0.52 against 0.62-0.66 s at ring 19
-# (block 984) depth 1, and 1.19-1.35 against 1.06-1.21 s at ring 20 (block
-# 1526) depth 1, with peak memory 88, 120 and 205 MB against 64, 69 and
-# 77 MB at rings 18-20: the crossover lies near ring 20.  No workload runs
-# rings 19-20, so the cutoff stays between rings 18 and 19.
-EIGEN_BLOCK_CUTOFF = 800
+ROUNDING = 10.0 * np.finfo(float).eps  # relative rounding level of f in rho
 
 
 @dataclass(frozen=True)
@@ -256,18 +243,17 @@ def _product_success(
     d1 c <- W c + d1 c, d01 c <- W d0 c + d01 c and
     d11 c <- W d1 c_new + W d1 c + d11 c, since d/dtau1 D = W D.  The target
     amplitude a and its derivatives are the target row of the stack, and
-    f = |a|^2.  While the generator's largest momentum block is at most
-    ``EIGEN_BLOCK_CUTOFF`` the stack lives in the factored eigenbasis
-    G = V diag(w) V^T, V = F blockdiag(U_k (x) I_c) (``ctqw.Eigenbasis``),
-    where W and D are diagonal and S is one ``diagonal_operator``
-    application to the whole stack: one sparse product with P = F^T S F and
-    two batched block products, and V is never formed.  Larger blocks keep
-    the stack in the subspace basis, where S is diagonal, W is the generator
-    matvec and D is a Krylov step on each column.
+    f = |a|^2.  Where ``ctqw.factored`` holds, the stack lives in the
+    factored eigenbasis G = V diag(w) V^T (``ctqw.Eigenbasis``), where W and
+    D are diagonal and S is one ``diagonal_operator`` application to the
+    whole stack: one sparse product with P = F^T S F and two batched block
+    products, and V is never formed.  Elsewhere the stack stays in the
+    subspace basis, where S is diagonal, W is the generator matvec and D is
+    a Krylov step on each column.
     """
     if split is None:
         split = split_generator(gen, z_star)
-    if largest_block(gen) > EIGEN_BLOCK_CUTOFF:
+    if not factored(gen):
         first = np.zeros(len(basis), dtype=complex)
         first[basis.index_of(0)] = 1.0
         end = np.zeros(len(basis))
@@ -336,11 +322,9 @@ def evaluate_product(
 ) -> float:
     """Success probability of the depth-p pi-phasor schedule at (tau0, tau1).
 
-    One evaluation propagates the schedule with ``run_ansatz``.  Up to
-    ``ctqw.DENSE_CUTOFF`` states that is the dense propagator, so even a
-    single evaluation computes (and caches) the generator's momentum-parity
-    blocked eigendecomposition ``gen.eig()``, V = F blockdiag(U_k (x) I_c);
-    larger bases propagate by Krylov.
+    One evaluation propagates the schedule with ``run_ansatz``, as
+    ``ctqw.factored`` picks: in the factored eigenbasis, so even a single
+    evaluation computes (and caches) ``gen.eig()``, or by Krylov steps.
     """
     sched = product_schedule(tau0, tau1, p, basis.n_bits, z_star)
     return success_probability(run_ansatz(sched, gen), [basis.index_of(z_star)])
@@ -415,7 +399,10 @@ def optimize_product(
     1 - f over a disc (``_trust_region_step``), whose radius starts at
     ``SIMPLEX_SCALE``, doubles after a boundary step with ratio of actual to
     predicted gain rho > 0.75 and is quartered when rho < 0.25; a step with
-    rho > 0 is accepted.  The search stops, converged, at an evaluated step
+    rho > 0 is accepted.  Both gains in rho carry f's rounding level
+    ``ROUNDING`` max(1, |f|) (Conn, Gould & Toint, Trust-Region Methods,
+    2000, sec. 17.4.2), so a last step whose predicted gain is below it is
+    not rejected for rounding in f.  The search stops, converged, at an evaluated step
     shorter than ``CONVERGENCE_TOL`` or at a gradient norm below
     ``GRADIENT_TOL``, and unconverged after ``MAX_EVALS`` evaluations; each
     evaluation computes (f, grad f, Hessian of f).  Walk times are bounded
@@ -443,7 +430,8 @@ def optimize_product(
         f_new, grad_new, hess_new = success(*(x + s))
         evaluations += 1
         gain = grad @ s + 0.5 * s @ hess @ s
-        rho = (f_new - f) / gain if gain > 0.0 else -1.0
+        delta = ROUNDING * max(1.0, abs(f))
+        rho = (f_new - f + delta) / (gain + delta) if gain > 0.0 else -1.0
         step = np.hypot(*s)
         if rho < 0.25:
             radius *= 0.25

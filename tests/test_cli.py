@@ -453,6 +453,48 @@ def test_tracer_keeps_bracelet_layers_live(tmp_path, monkeypatch):
         assert getattr(owner, attr) is original
 
 
+def test_run_manifest_records_walk_propagation(tmp_path, monkeypatch):
+    # each product instance names the walk propagation ctqw.factored picked
+    from blockwalk import ctqw
+
+    raw = {"version": 1, "ansatz": "product", "rings": [5, 6],
+           "targets": ["half"], "depths": [1], "backends": ["ctqw"]}
+
+    def paths(out):
+        manifest = cli.run_config(raw, str(tmp_path / out))
+        assert json.loads((tmp_path / out / "manifest.json").read_text()) \
+            == manifest
+        return [inst["propagation"] for inst in manifest["instances"]]
+
+    assert paths("factored") == ["factored", "factored"]
+    monkeypatch.setattr(ctqw, "EIGEN_BLOCK_CUTOFF", 0)
+    assert paths("krylov") == ["krylov", "krylov"]
+    # bracelet instances run the orbit-reduced walk and record none
+    raw.update(ansatz="bracelet", rings=[5])
+    (inst,) = cli.run_config(raw, str(tmp_path / "b"))["instances"]
+    assert "propagation" not in inst
+
+
+def test_benchmark_checker_passes_tiny_sweeps(tmp_path, monkeypatch):
+    # perfbench's checker recomputes each instance through program names
+    # (ctqw.DENSE_CUTOFF, run_ansatz(method=), expm_krylov(tol=),
+    # product_schedule, bracelet_schedule); a change that drops one fails
+    # here, not only in a benchmark run
+    from blockwalk import prep_bracelet
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    measure = importlib.import_module("measure")
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    for name in sorted(workloads.WORKLOADS):
+        calls = measure.run_sweep(
+            cli, prep_bracelet, workloads.sweep_configs(name, 1, 0, tiny=True),
+            str(tmp_path / name), 0, False)
+        verdicts = checks.check_calls(calls)
+        assert verdicts, name
+        assert [v for v in verdicts if v[2]] == [], name
+
+
 _RUN_INSTANCE = cli._run_instance
 
 

@@ -274,6 +274,20 @@ def test_ring_16_largest_eigh_block_halves():
     assert eb.sizes.max() == eb.U.shape[1] == 143
 
 
+def test_ring_16_auto_walk_stays_in_the_eigenbasis(monkeypatch):
+    # the one propagation rule reads the largest momentum block (282), not
+    # |V| = 2207: ring 16's auto walk never propagates with Krylov
+    def no_krylov(*args, **kwargs):
+        raise AssertionError("Krylov propagation of a ring-16 auto walk")
+
+    monkeypatch.setattr(ctqw, "expm_krylov", no_krylov)
+    basis, gen = _setup(16)
+    psi = ctqw.evolve_walk(ctqw.zero_state(basis), gen, 0.7)
+    ref = ctqw.evolve_walk(ctqw.zero_state(basis), gen, 0.7, "dense")
+    assert np.array_equal(psi.amplitudes, ref.amplitudes)
+    assert len(basis) == 2207 and ctqw.factored(gen)
+
+
 def test_non_ring_basis_is_one_identity_block():
     # a path is not closed under rotation: F = I and one full eigh block
     basis = ss.enumerate_subspace(ss.make_graph(8, [(i, i + 1) for i in range(7)]))

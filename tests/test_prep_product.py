@@ -101,7 +101,7 @@ def test_eigen_block_cutoff_falls_between_rings_18_and_19():
     def largest(n):
         return ctqw.largest_block(_setup(n)[1])
     assert largest(16) == 282
-    assert largest(18) <= pp.EIGEN_BLOCK_CUTOFF < largest(19)
+    assert largest(18) <= ctqw.EIGEN_BLOCK_CUTOFF < largest(19)
 
 
 def test_objective_above_block_cutoff_propagates_with_krylov(monkeypatch):
@@ -127,7 +127,8 @@ def test_objective_above_block_cutoff_propagates_with_krylov(monkeypatch):
               ss.str_to_bits(ss.mis_target(n))):
         factored = pp._product_success(basis, gen, z, p)
         with monkeypatch.context() as m:
-            m.setattr(pp, "EIGEN_BLOCK_CUTOFF", ctqw.largest_block(fresh) - 1)
+            m.setattr(ctqw, "EIGEN_BLOCK_CUTOFF",
+                      ctqw.largest_block(fresh) - 1)
             m.setattr(ctqw.WalkGenerator, "eig", no_eig)
             m.setattr(ctqw, "expm_krylov", counted_krylov)
             krylov = pp._product_success(basis, fresh, z, p)
@@ -135,6 +136,51 @@ def test_objective_above_block_cutoff_propagates_with_krylov(monkeypatch):
                 for got, ref in zip(krylov(*tau), factored(*tau)):
                     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
     assert len(calls) == 2 * 2 * (1 + 6 * p)
+
+
+def test_block_cutoff_moves_walk_and_objective_to_krylov_together(
+        monkeypatch):
+    # every propagation choice reads ctqw.factored: below ring 12's largest
+    # block the auto walk, the one-shot evaluator and the objective all take
+    # Krylov steps and never decompose G
+    n, p = 12, 2
+    basis, gen = _setup(n)
+    z = ss.str_to_bits(ss.half_target(n))
+
+    def no_eig(self):
+        raise AssertionError("eigendecomposition below the block cutoff")
+
+    calls = []
+
+    def counted_krylov(*args, **kwargs):
+        calls.append(1)
+        return expm_krylov(*args, **kwargs)
+
+    expm_krylov = ctqw.expm_krylov
+    monkeypatch.setattr(ctqw, "EIGEN_BLOCK_CUTOFF", ctqw.largest_block(gen) - 1)
+    monkeypatch.setattr(ctqw.WalkGenerator, "eig", no_eig)
+    monkeypatch.setattr(ctqw, "expm_krylov", counted_krylov)
+    assert not ctqw.factored(gen)
+    ctqw.evolve_walk(ctqw.zero_state(basis), gen, 0.7)
+    assert len(calls) == 1
+    pp.evaluate_product(basis, gen, z, p, 0.3, 0.6)
+    assert len(calls) == 1 + (1 + p)
+    pp._product_success(basis, gen, z, p)(0.3, 0.6)
+    assert len(calls) == 1 + (1 + p) + (1 + 6 * p)
+
+
+def test_last_converged_step_survives_rounding_in_rho():
+    # ring 15 000000010100101 p=2: the last Newton step changes f by about
+    # -7e-16 against a predicted gain of ~1e-17, so without f's rounding
+    # level in rho it was rejected and the search stopped 6e-9 short, at
+    # |grad f| = 1.3e-7
+    n, p = 15, 2
+    basis, gen = _setup(n)
+    z = ss.str_to_bits("000000010100101")
+    res = pp.optimize_product(basis, gen, z, p)
+    assert res.converged
+    _, grad, _ = pp._product_success(basis, gen, z, p)(res.tau0, res.tau1)
+    assert np.hypot(*grad) < pp.GRADIENT_TOL
 
 
 @pytest.mark.parametrize("n", (5, 9, 12))
