@@ -54,7 +54,7 @@ from .subspace import (
 # ring 20.  No workload runs rings 19-20, so the cutoff stays between rings
 # 18 and 19.
 EIGEN_BLOCK_CUTOFF = 800
-# Not read here: kept only for perfbench's checker and tracer, which read it.
+# Read only by perfbench's checker and tracer; the program uses ``factored``.
 DENSE_CUTOFF = 2048
 KRYLOV_DIM = 60        # Lanczos vectors per Krylov step at most
 KRYLOV_SPLITS = 30     # step halvings before Krylov propagation gives up

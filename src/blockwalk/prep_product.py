@@ -402,13 +402,13 @@ def optimize_product(
     rho > 0 is accepted.  Both gains in rho carry f's rounding level
     ``ROUNDING`` max(1, |f|) (Conn, Gould & Toint, Trust-Region Methods,
     2000, sec. 17.4.2), so a last step whose predicted gain is below it is
-    not rejected for rounding in f.  The search stops, converged, at an evaluated step
-    shorter than ``CONVERGENCE_TOL`` or at a gradient norm below
-    ``GRADIENT_TOL``, and unconverged after ``MAX_EVALS`` evaluations; each
-    evaluation computes (f, grad f, Hessian of f).  Walk times are bounded
-    below by 0: a step that would cross a bound stops on it and moves along
-    the face (``_bounded_step``), and the gradient test drops the components
-    that push out through an active bound.
+    not rejected for rounding in f.  The search stops, converged, at an
+    evaluated step shorter than ``CONVERGENCE_TOL`` or at a gradient norm
+    below ``GRADIENT_TOL``, and unconverged after ``MAX_EVALS`` evaluations;
+    each evaluation computes (f, grad f, Hessian of f).  Walk times are
+    bounded below by 0: a step that would cross a bound stops on it and
+    moves along the face (``_bounded_step``), and the gradient test drops
+    the components that push out through an active bound.
     """
     if not 1 <= p <= MAX_DEPTH:
         raise ValueError(f"supported depths are 1..{MAX_DEPTH}")
