@@ -92,7 +92,8 @@ CONFIG_DEFAULTS = {
     "channel": {"p00": 0.99, "p11": 0.93},
     "shots": 1000,
     "seed": 0,
-    "emulation": {"scale": 1.0, "row_snap": False, "max_step": 1e-3},
+    "emulation": {"scale": 1.0, "row_snap": False,
+                  "max_step": rydberg.MAX_STEP},
 }
 
 
@@ -460,7 +461,13 @@ def _run_instance(task: dict) -> dict:
                 out.update(em_estimate=rec.point, em_ci_low=rec.ci_low,
                            em_ci_high=rec.ci_high, shots_seed=seed,
                            em_iterations=rec.model.iterations,
-                           em_converged=rec.model.converged)
+                           em_converged=rec.model.converged,
+                           em_bootstrap_iterations_median=float(
+                               np.median(rec.bootstrap_iterations)),
+                           em_bootstrap_iterations_max=int(
+                               rec.bootstrap_iterations.max()),
+                           em_bootstrap_converged_fraction=float(
+                               rec.bootstrap_converged.mean()))
     except Exception as exc:  # isolate per-instance failures
         out["error"] = f"{type(exc).__name__}: {exc}"
     out["runtime_s"] = round(time.perf_counter() - t_start, 3)
@@ -496,6 +503,13 @@ _PRODUCT_COLS = ("ring", "subspace_size", "target", "depth", "tau0", "tau1",
                  "j_eff", "success")
 _BRACELET_COLS = ("ring", "subspace_size", "target", "depth", "tau_eff",
                   "success")
+# the manifest's per-instance facts, where an instance has them
+_MANIFEST_KEYS = ("ring", "target_spec", "depth", "runtime_s", "stage_s",
+                  "evaluations", "converged", "propagation", "leakage",
+                  "emulation_fidelity", "warnings", "em_iterations",
+                  "em_converged", "em_bootstrap_iterations_median",
+                  "em_bootstrap_iterations_max",
+                  "em_bootstrap_converged_fraction", "error", "failed_stage")
 _EXTRA_COLS = ("emulation_success", "leakage", "em_estimate", "em_ci_low",
                "em_ci_high")
 
@@ -567,12 +581,7 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
             "python": sys.version.split()[0],
         },
         "instances": [
-            {k: r.get(k) for k in
-             ("ring", "target_spec", "depth", "runtime_s", "stage_s",
-              "evaluations", "converged", "propagation", "leakage",
-              "emulation_fidelity", "warnings", "em_iterations",
-              "em_converged", "error", "failed_stage")
-             if k in r}
+            {k: r.get(k) for k in _MANIFEST_KEYS if k in r}
             for r in results
         ],
         "failed_instances": sum(1 for r in results if "error" in r),
@@ -646,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--row-snap", action="store_true")
-    p.add_argument("--max-step", type=float, default=1e-3)
+    p.add_argument("--max-step", type=float, default=rydberg.MAX_STEP)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--shots-out", default=None)
     p.add_argument("--p00", type=float, default=0.99)

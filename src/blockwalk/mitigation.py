@@ -368,6 +368,9 @@ class ReconstructionResult:
     ci_low: float
     ci_high: float
     resamples: int
+    # each bootstrap resample's EM iteration count and convergence flag
+    bootstrap_iterations: np.ndarray
+    bootstrap_converged: np.ndarray
 
     def __post_init__(self):
         if not (self.ci_low <= self.point + 1e-12
@@ -382,12 +385,13 @@ def bootstrap_ci(
     resamples: int = DEFAULT_RESAMPLES,
     level: float = 0.95,
     seed: Optional[int] = None,
-) -> tuple:
+) -> ReconstructionResult:
     """Percentile bootstrap over with-replacement shot resamples.
 
     ``model`` is the `em_reconstruct` fit of ``shots``: it gives the point
     estimate, and each resample is fitted with its basis, channel, prior,
-    ``eps`` and ``max_iter``.
+    ``eps`` and ``max_iter``.  The result also carries each resample's EM
+    iteration count and convergence flag.
     """
     rng = np.random.default_rng(seed)
     basis, channel = model.basis, model.channel
@@ -403,7 +407,7 @@ def bootstrap_ci(
     # same stream as one draw of len(shots) per resample
     block = max(1, _EM_BLOCK_ELEMENTS // (basis.n_bits * u))
     step = max(1, _DRAW_ELEMENTS // n)
-    phi_v = []
+    fits = []
     for i in range(0, resamples, block):
         hist = np.zeros((min(block, resamples - i), u), dtype=np.int64)
         for j in range(0, len(hist), step):
@@ -412,17 +416,21 @@ def bootstrap_ci(
             drawn += u * np.arange(rows)[:, None]
             hist[j:j + rows] = np.bincount(
                 drawn.ravel(), minlength=rows * u).reshape(rows, u)
-        phi_v.append(_em_fit(hist, L, tables, model.prior, model.eps,
-                             model.max_iter)[0])
-    phi_v = np.concatenate(phi_v)
-    tgt = [int(target)] if isinstance(target, (int, np.integer)) else target
+        fits.append(_em_fit(hist, L, tables, model.prior, model.eps,
+                            model.max_iter))
+    phi_v, its, conv = (np.concatenate([f[k] for f in fits])
+                        for k in (0, 2, 3))
+    tgt = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
     estimates = sum(phi_v[:, basis.index_of(t)] for t in tgt)
     tail = (1.0 - level) / 2.0
     low = float(np.quantile(estimates, tail))
     high = float(np.quantile(estimates, 1.0 - tail))
     # percentile intervals from finite resamples may not bracket the full-data
     # point estimate; widen to include it
-    return min(low, point), point, max(high, point)
+    return ReconstructionResult(
+        model=model, target=tgt, point=point, ci_low=min(low, point),
+        ci_high=max(high, point), resamples=resamples,
+        bootstrap_iterations=its, bootstrap_converged=conv)
 
 
 def reconstruct_with_ci(
@@ -435,11 +443,7 @@ def reconstruct_with_ci(
     seed: Optional[int] = None,
 ) -> ReconstructionResult:
     model = em_reconstruct(shots, basis, channel)
-    low, point, high = bootstrap_ci(shots, model, target, resamples, level,
-                                    seed)
-    tgt = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
-    return ReconstructionResult(model=model, target=tgt, point=point,
-                                ci_low=low, ci_high=high, resamples=resamples)
+    return bootstrap_ci(shots, model, target, resamples, level, seed)
 
 
 def result_to_json(result: ReconstructionResult) -> str:

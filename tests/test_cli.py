@@ -278,7 +278,13 @@ def test_run_manifest_records_emulation_diagnostics(tmp_path, monkeypatch):
     for inst in walk_only["instances"]:
         assert "leakage" not in inst and "warnings" not in inst
         _stages_fit_runtime(inst, ["prepare"])
-    # shots instances record the full-data EM fit's solver facts
+    # shots instances record the full-data EM fit's solver facts and a
+    # summary of its bootstrap resamples' fits
+    results = []
+    reconstruct = cli.mitigation.reconstruct_with_ci
+    monkeypatch.setattr(cli.mitigation, "reconstruct_with_ci",
+                        lambda *a, **k: results.append(reconstruct(*a, **k))
+                        or results[-1])
     cfg.write_text(json.dumps({**CONFIG, "rings": [4],
                                "backends": ["ctqw", "rydberg", "shots"],
                                "shots": 300}))
@@ -288,6 +294,12 @@ def test_run_manifest_records_emulation_diagnostics(tmp_path, monkeypatch):
     _stages_fit_runtime(inst, ["prepare", "compile", "emulate", "mitigate"])
     assert isinstance(inst["em_iterations"], int) and inst["em_iterations"] > 0
     assert inst["em_converged"] is True
+    (rec,) = results
+    its, conv = rec.bootstrap_iterations, rec.bootstrap_converged
+    assert len(its) == len(conv) == rec.resamples == 200
+    assert inst["em_bootstrap_iterations_median"] == float(np.median(its))
+    assert inst["em_bootstrap_iterations_max"] == int(its.max()) > 0
+    assert inst["em_bootstrap_converged_fraction"] == float(conv.mean()) > 0
 
     # a failing stage is named, and the stages before it keep their times
     def broken(*args, **kwargs):

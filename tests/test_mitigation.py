@@ -157,7 +157,10 @@ def test_reconstruct_with_ci_fits_full_data_once(monkeypatch):
                         lambda *a, **k: fits.append(1) or original(*a, **k))
     res = mt.reconstruct_with_ci(shots, basis, ch, z, resamples=40, seed=5)
     assert len(fits) == 1
-    assert (res.ci_low, res.point, res.ci_high) == expected
+    assert (res.ci_low, res.point, res.ci_high) == (
+        expected.ci_low, expected.point, expected.ci_high)
+    assert np.array_equal(res.bootstrap_iterations,
+                          expected.bootstrap_iterations)
     assert res.point == res.model.target_probability(z)
 
 
@@ -173,16 +176,20 @@ def test_bootstrap_ci_fits_resamples_with_model_settings():
     settings = dict(prior=(2.0, 3.0), eps=1e-4, max_iter=5)
     model = mt.em_reconstruct(shots, basis, ch, **settings)
     assert (model.prior, model.eps, model.max_iter) == ((2.0, 3.0), 1e-4, 5)
-    low, point, high = mt.bootstrap_ci(shots, model, z, resamples=20,
-                                       level=0.8, seed=7)
+    res = mt.bootstrap_ci(shots, model, z, resamples=20, level=0.8, seed=7)
+    low, point, high = res.ci_low, res.point, res.ci_high
     rng = np.random.default_rng(7)
     arr = np.asarray(shots.shots, dtype=np.uint64)
-    estimates = [
+    fits = [
         mt.em_reconstruct(
             ry.ShotSet(n_bits=5, shots=rng.choice(arr, size=len(arr)),
                        p00=ch.p00, p11=ch.p11, seed=None),
-            basis, ch, **settings).target_probability(z)
+            basis, ch, **settings)
         for _ in range(20)]
+    estimates = [fit.target_probability(z) for fit in fits]
+    # the result carries each resample's iteration count and convergence
+    assert res.bootstrap_iterations.tolist() == [f.iterations for f in fits]
+    assert res.bootstrap_converged.tolist() == [f.converged for f in fits]
     assert point == model.target_probability(z)
     assert low == pytest.approx(min(np.quantile(estimates, 0.1), point),
                                 abs=1e-10)
