@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .ctqw import StateVector, WalkGenerator, evolve_walk
+from .ctqw import StateVector, WalkGenerator, evolve_walk, success_probability
 
 __all__ = [
     "AmplificationPoint",
@@ -142,10 +142,6 @@ def grover_reference(subspace_size: int, p: int) -> float:
     return float(np.sin((2 * p + 1) * theta) ** 2)
 
 
-def _target_population(amps: np.ndarray, target_indices: np.ndarray) -> float:
-    return float(np.sum(np.abs(amps[target_indices]) ** 2))
-
-
 def quench_coherent(
     state: StateVector,
     gen: WalkGenerator,
@@ -153,11 +149,10 @@ def quench_coherent(
     target_indices: Sequence[int],
 ) -> np.ndarray:
     """Evolve the prepared state and record target population at each tau."""
-    idx = np.asarray(target_indices, dtype=int)
     out = np.empty(len(tau_grid))
     for i, tau in enumerate(tau_grid):
         evolved = evolve_walk(state, gen, float(tau))
-        out[i] = _target_population(evolved.amplitudes, idx)
+        out[i] = success_probability(evolved, target_indices)
     return out
 
 

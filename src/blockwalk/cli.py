@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -77,7 +79,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "scale": {"type": "number", "exclusiveMinimum": 0},
                 "row_snap": {"type": "boolean"},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
             },
         },
     },
@@ -89,11 +90,10 @@ CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 CONFIG_DEFAULTS = {
     "depths": [1],
     "backends": ["ctqw"],
-    "channel": {"p00": 0.99, "p11": 0.93},
+    "channel": dataclasses.asdict(mitigation.STANDARD_CHANNEL),
     "shots": 1000,
     "seed": 0,
-    "emulation": {"scale": 1.0, "row_snap": False,
-                  "max_step": rydberg.MAX_STEP},
+    "emulation": {"scale": 1.0, "row_snap": False},
 }
 
 
@@ -103,6 +103,25 @@ class ValidationFailure(Exception):
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+_BOUND_CHECKS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt,
+                 "maximum": operator.le}
+
+
+def _bounded(cast, bounds: dict):
+    """argparse ``type=`` that casts a flag and checks it against JSON-schema
+    bounds (``minimum``, ``exclusiveMinimum``, ``maximum``); argparse reports
+    a value outside them, or NaN, as a usage error."""
+    limits = {key: bounds[key] for key in _BOUND_CHECKS if key in bounds}
+
+    def parse(text: str):
+        value = cast(text)
+        if not all(_BOUND_CHECKS[key](value, bound)
+                   for key, bound in limits.items()):
+            raise argparse.ArgumentTypeError(f"{text} is outside {limits}")
+        return value
+    return parse
 
 
 def _check_ring(n: int) -> None:
@@ -277,7 +296,7 @@ def cmd_emulate(args) -> int:
     if args.shots and not args.shots_out:
         raise ValidationFailure("--shots requires --shots-out FILE")
     n, target, _, program = _compile_from_args(args)
-    full = rydberg.emulate(program, max_step=args.max_step)
+    full = rydberg.emulate(program)
     basis = subspace.enumerate_subspace(subspace.ring_graph(n))
     report = {"ring": n, "target": target}
     report.update(_emulation_summary(full, basis, subspace.str_to_bits(target)))
@@ -440,7 +459,7 @@ def _run_instance(task: dict) -> dict:
                 program = rydberg.compile_program(
                     sched, n, scale=emu["scale"], row_snap=emu["row_snap"])
             with _stage(out, "emulate"):
-                full = rydberg.emulate(program, max_step=emu["max_step"])
+                full = rydberg.emulate(program)
                 ideal = ctqw.run_ansatz(sched, gen).amplitudes
                 summary = _emulation_summary(full, basis, z, ideal)
             out["emulation_success"] = summary["success"]
@@ -614,6 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum walks on independent-set subspaces of rings.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    positive = _bounded(float, {"exclusiveMinimum": 0})
+    # readout fidelities take the config schema's channel bounds
+    fidelity = {k: _bounded(float, v) for k, v in CONFIG_SCHEMA["properties"]
+                ["channel"]["properties"].items()}
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
@@ -629,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=int, required=True)
     p.add_argument("--target", required=True,
                    help="bitstring, or 'half' / 'mis'")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", default=1, type=_bounded(
+        int, {"minimum": 1, "maximum": prep_product.MAX_DEPTH}))
     p.add_argument("--tau0", type=float, default=None,
                    help="evaluate at fixed tau0 (with --tau1), no optimization")
     p.add_argument("--tau1", type=float, default=None)
@@ -640,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=int, required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--tau-max", type=float, default=20.0)
-    p.add_argument("--dtau", type=float, default=0.02)
+    p.add_argument("--dtau", type=positive, default=0.02)
     p.add_argument("--out", default=None)
 
     p = add("compile", cmd_compile,
@@ -655,11 +679,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--row-snap", action="store_true")
-    p.add_argument("--max-step", type=float, default=rydberg.MAX_STEP)
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=_bounded(int, {"minimum": 0}), default=0)
     p.add_argument("--shots-out", default=None)
-    p.add_argument("--p00", type=float, default=0.99)
-    p.add_argument("--p11", type=float, default=0.93)
+    p.add_argument("--p00", type=fidelity["p00"],
+                   default=mitigation.STANDARD_CHANNEL.p00)
+    p.add_argument("--p11", type=fidelity["p11"],
+                   default=mitigation.STANDARD_CHANNEL.p11)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -667,10 +692,11 @@ def build_parser() -> argparse.ArgumentParser:
             "EM readout-error reconstruction from a shot file")
     p.add_argument("--shots-file", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--p00", type=float, default=None,
+    p.add_argument("--p00", type=fidelity["p00"], default=None,
                    help="override channel stored in the shot file")
-    p.add_argument("--p11", type=float, default=None)
-    p.add_argument("--resamples", type=int, default=1000)
+    p.add_argument("--p11", type=fidelity["p11"], default=None)
+    p.add_argument("--resamples", type=_bounded(int, {"minimum": 1}),
+                   default=mitigation.DEFAULT_RESAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -687,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=int, required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--tau-max", type=float, default=8.0)
-    p.add_argument("--dtau", type=float, default=0.02)
+    p.add_argument("--dtau", type=positive, default=0.02)
     p.add_argument("--out", default=None)
 
     p = add("run", cmd_run, "full pipeline from a JSON config")

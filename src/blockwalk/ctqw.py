@@ -75,9 +75,7 @@ class StateVector:
 
 def zero_state(basis: SubspaceBasis) -> StateVector:
     """The all-zeros bitstring (always index 0 in the canonical order)."""
-    amps = np.zeros(len(basis), dtype=complex)
-    amps[basis.index_of(0)] = 1.0
-    return StateVector(basis, amps)
+    return basis_state(basis, 0)
 
 
 def basis_state(basis: SubspaceBasis, bitstring: int) -> StateVector:
@@ -417,25 +415,16 @@ def build_generator(basis: SubspaceBasis) -> WalkGenerator:
     return WalkGenerator(basis, m)
 
 
-@dataclass
-class PhasorDiagonal:
-    """Diagonal phase generator with per-state real coefficients."""
-
-    basis: SubspaceBasis
-    coefficients: np.ndarray
-
-
-def local_phasor(basis: SubspaceBasis, target_mask: int) -> PhasorDiagonal:
-    """Site-linear phasor counting excitations on the target's set bits."""
+def local_phasor(basis: SubspaceBasis, target_mask: int) -> np.ndarray:
+    """Site-linear phasor: each basis state's excitation count on the
+    target's set bits, the real diagonal of the phase generator."""
     mask = np.uint64(target_mask & ((1 << basis.n_bits) - 1))
-    c = popcount_array(basis.states & mask).astype(float)
-    return PhasorDiagonal(basis, c)
+    return popcount_array(basis.states & mask).astype(float)
 
 
-def hamming_phasor(basis: SubspaceBasis) -> PhasorDiagonal:
-    """Global phasor counting all excitations (Hamming weight)."""
-    c = basis.hamming_weights().astype(float)
-    return PhasorDiagonal(basis, c)
+def hamming_phasor(basis: SubspaceBasis) -> np.ndarray:
+    """Global phasor: each basis state's Hamming weight."""
+    return basis.hamming_weights().astype(float)
 
 
 def _expm_dense(gen: WalkGenerator, v: np.ndarray, tau: float) -> np.ndarray:
@@ -521,10 +510,11 @@ def evolve_walk(state: StateVector, gen: WalkGenerator, tau: float,
     return StateVector(state.basis, amps)
 
 
-def apply_phasor(state: StateVector, phasor: PhasorDiagonal, gamma: float) -> StateVector:
-    if len(phasor.coefficients) != len(state.amplitudes):
+def apply_phasor(state: StateVector, phasor: np.ndarray, gamma: float) -> StateVector:
+    """exp(-i gamma C) on the state, C the phasor's real diagonal."""
+    if len(phasor) != len(state.amplitudes):
         raise BasisMismatchError("phasor and state dimensions differ")
-    amps = state.amplitudes * np.exp(-1j * gamma * phasor.coefficients)
+    amps = state.amplitudes * np.exp(-1j * gamma * phasor)
     return StateVector(state.basis, amps)
 
 
@@ -551,18 +541,17 @@ class AnsatzSchedule:
             raise ValueError("unknown phasor kind %r" % self.phasor_kind)
 
 
-def phasor_for(schedule: AnsatzSchedule, basis: SubspaceBasis) -> PhasorDiagonal:
+def phasor_for(schedule: AnsatzSchedule, basis: SubspaceBasis) -> np.ndarray:
     if schedule.phasor_kind == "local":
         return local_phasor(basis, schedule.target_mask)
     return hamming_phasor(basis)
 
 
 def run_ansatz(schedule: AnsatzSchedule, gen: WalkGenerator,
-               phasor: PhasorDiagonal = None, method: str = "auto") -> StateVector:
+               method: str = "auto") -> StateVector:
     """|psi> = [prod_q U_W(tau_q) U_C(gamma_q)] U_W(tau0) |0...0>."""
     schedule.validate()
-    if phasor is None:
-        phasor = phasor_for(schedule, gen.basis)
+    phasor = phasor_for(schedule, gen.basis)
     psi = zero_state(gen.basis)
     psi = evolve_walk(psi, gen, schedule.tau0, method)
     for gamma, tau in schedule.layers:

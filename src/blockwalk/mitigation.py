@@ -52,7 +52,7 @@ class ReadoutChannel:
             raise ValueError("channel probabilities must lie in [0, 1]")
 
 
-STANDARD_CHANNEL = ReadoutChannel(0.99, 0.93)
+STANDARD_CHANNEL = ReadoutChannel()
 LOCAL_DETUNING_CHANNEL = ReadoutChannel(0.90, 0.93)
 
 

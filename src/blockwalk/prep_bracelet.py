@@ -3,10 +3,12 @@
 The walk from the all-zeros state never leaves the dihedral-symmetric sector,
 so everything here runs in the exponentially smaller orbit basis, on the
 walk's eigenpairs in that sector, which the generator's momentum-parity
-eigendecomposition (``WalkGenerator.eig``) already holds: scan the bare walk
-for population peaks, fix walk times from the chosen peak, then optimize the
-interleaved Hamming-phasor phases with L-BFGS-B on the exact gradient of one
-forward and one adjoint (GRAPE) sweep.
+eigendecomposition (``WalkGenerator.eig``) already holds.  ``reduced_walk``
+builds that ``ReducedWalk`` once; ``peak_scan``, ``evaluate_bracelet`` and
+``optimize_bracelet`` take it: scan the bare walk for population peaks, fix
+walk times from the chosen peak, then optimize the interleaved
+Hamming-phasor phases with L-BFGS-B on the exact gradient of one forward and
+one adjoint (GRAPE) sweep.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ import numpy as np
 import scipy.optimize
 
 from .ctqw import AnsatzSchedule, WalkGenerator
-from .subspace import (
-    DihedralOrbit,
-    SubspaceBasis,
-    all_orbits,
-)
+from .subspace import DihedralOrbit, all_orbits
 
 __all__ = [
     "PlanInfeasibleError",
@@ -57,16 +55,14 @@ class ReducedWalk:
 
     The sector's basis is the equal-weight superposition of each dihedral
     orbit, one per orbit in ``orbits``; the walk is real symmetric on it and
-    exponentially smaller than on the full subspace, and is kept as its
-    eigenpairs.
+    exponentially smaller than on the full subspace, and is kept as its real
+    eigenpairs.  The all-zeros orbit, where every walk starts, is the first.
     """
 
-    basis: SubspaceBasis
     orbits: tuple
     eigenvalues: np.ndarray     # ascending
-    eigenvectors: np.ndarray    # columns
+    eigenvectors: np.ndarray    # columns, real
     weights: np.ndarray         # Hamming weight of each orbit
-    start_index: int            # orbit of the all-zeros string
 
     @property
     def dim(self) -> int:
@@ -80,7 +76,7 @@ class ReducedWalk:
 
     def evolve(self, vec: np.ndarray, tau: float) -> np.ndarray:
         v = self.eigenvectors
-        return v @ (np.exp(-1j * tau * self.eigenvalues) * (v.conj().T @ vec))
+        return v @ (np.exp(-1j * tau * self.eigenvalues) * (v.T @ vec))
 
     def phasor(self, vec: np.ndarray, gamma: float) -> np.ndarray:
         return vec * np.exp(-1j * gamma * self.weights)
@@ -102,12 +98,10 @@ def reduced_walk(gen: WalkGenerator) -> ReducedWalk:
     orbits = tuple(all_orbits(gen.basis))
     evals, evecs = gen.eig().symmetric_sector()
     return ReducedWalk(
-        basis=gen.basis,
         orbits=orbits,
         eigenvalues=evals,
         eigenvectors=evecs,
         weights=np.array([orb.weight() for orb in orbits]),
-        start_index=0,
     )
 
 
@@ -120,29 +114,25 @@ class PeakScan:
 
 
 def peak_scan(
-    gen: WalkGenerator,
-    orbit: DihedralOrbit,
-    tau_max: float,
-    dtau: float,
-    reduced: Optional[ReducedWalk] = None,
+    rw: ReducedWalk, orbit: DihedralOrbit, tau_max: float, dtau: float
 ) -> PeakScan:
-    """Sweep the bare walk and list interior population maxima above 1/(2N).
+    """Sweep the bare walk ``rw`` and list interior population maxima above
+    1/(2N), N the ring length.
 
     Population is the squared overlap with the target orbit superposition,
     evaluated in the reduced sector where the walk lives.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    rw = reduced if reduced is not None else reduced_walk(gen)
     t_idx = rw.orbit_index(orbit)
     taus = np.arange(0.0, tau_max + 0.5 * dtau, dtau)
     if tau_max <= 0:
         taus = np.zeros(0)
-    # overlap(tau) = sum_r conj(V[t,r]) V[s,r] e^{-i tau lam_r}
-    coeff = rw.eigenvectors[t_idx, :].conj() * rw.eigenvectors[rw.start_index, :]
+    # overlap(tau) = sum_r V[t,r] V[0,r] e^{-i tau lam_r}, V real
+    coeff = rw.eigenvectors[t_idx, :] * rw.eigenvectors[0, :]
     phases = np.exp(-1j * np.outer(taus, rw.eigenvalues))
     pops = np.abs(phases @ coeff) ** 2
-    threshold = 1.0 / (2.0 * gen.basis.n_bits)
+    threshold = 1.0 / (2.0 * orbit.n_bits)
     peaks = []
     for j in range(1, len(taus) - 1):
         if pops[j] > threshold and pops[j] > pops[j - 1] and pops[j] > pops[j + 1]:
@@ -190,7 +180,7 @@ def plan_from_peak(tau_tot: float) -> BraceletPlan:
 def _forward(rw: ReducedWalk, tau: float, gamma: np.ndarray) -> tuple:
     """The state just before each phasor, and the final state."""
     before = []
-    vec = rw.evolve(rw.unit_vector(rw.start_index), tau)
+    vec = rw.evolve(rw.unit_vector(0), tau)
     for g in gamma:
         before.append(vec)
         vec = rw.evolve(rw.phasor(vec, g), tau)
@@ -231,26 +221,20 @@ def bracelet_schedule(plan: BraceletPlan) -> AnsatzSchedule:
 
 
 def evaluate_bracelet(
-    plan: BraceletPlan,
-    gen: WalkGenerator,
-    orbit: DihedralOrbit,
-    reduced: Optional[ReducedWalk] = None,
+    plan: BraceletPlan, rw: ReducedWalk, orbit: DihedralOrbit
 ) -> float:
-    """Coherent overlap with the target orbit superposition for this plan."""
-    rw = reduced if reduced is not None else reduced_walk(gen)
+    """Coherent overlap with the target orbit superposition for this plan,
+    run on the reduced walk ``rw``."""
     final = _forward(rw, plan.tau, plan.gamma)[1]
     return float(abs(final[rw.orbit_index(orbit)]) ** 2)
 
 
 def optimize_bracelet(
-    plan: BraceletPlan,
-    gen: WalkGenerator,
-    orbit: DihedralOrbit,
-    reduced: Optional[ReducedWalk] = None,
+    plan: BraceletPlan, rw: ReducedWalk, orbit: DihedralOrbit
 ) -> BraceletPlan:
-    """Maximize the ideal overlap over the phases in [-pi, pi] at fixed walk
-    times, with L-BFGS-B on the adjoint gradient."""
-    rw = reduced if reduced is not None else reduced_walk(gen)
+    """Maximize the ideal overlap on the reduced walk ``rw`` over the phases
+    in [-pi, pi] at fixed walk times, with L-BFGS-B on the adjoint
+    gradient."""
     t_idx = rw.orbit_index(orbit)
 
     def objective(gamma: np.ndarray) -> tuple:
@@ -292,7 +276,7 @@ def prepare_bracelet(
     peak optimized, kept or not.
     """
     rw = reduced_walk(gen)
-    scan = peak_scan(gen, orbit, tau_max, dtau, reduced=rw)
+    scan = peak_scan(rw, orbit, tau_max, dtau)
     if len(scan.peaks) < 2:
         raise PlanInfeasibleError("fewer than two walk-population peaks found")
     best: Optional[BraceletPlan] = None
@@ -302,7 +286,7 @@ def prepare_bracelet(
             plan = plan_from_peak(tau_peak)
         except PlanInfeasibleError:
             continue
-        plan = optimize_bracelet(plan, gen, orbit, reduced=rw)
+        plan = optimize_bracelet(plan, rw, orbit)
         evaluations += plan.evaluations
         if best is not None and plan.success <= best.success + SUCCESS_TOL:
             break

@@ -90,8 +90,7 @@ class ProductResult:
     tau1: float
     success: float
     depth: int
-    t_eff: float
-    j_eff: float
+    j_eff: float    # pi / (2 t_eff), t_eff = tau0 + depth * tau1
     evaluations: int
     converged: bool
 
@@ -441,15 +440,12 @@ def optimize_product(
             x, f, grad, hess = x + s, f_new, grad_new, hess_new
         converged = bool(step < CONVERGENCE_TOL or stationary(x, grad))
     tau0, tau1 = float(x[0]), float(x[1])
-    t_eff = tau0 + p * tau1
-    j_eff = float(np.pi / (2.0 * t_eff))
     return ProductResult(
         tau0=tau0,
         tau1=tau1,
         success=f,
         depth=p,
-        t_eff=t_eff,
-        j_eff=j_eff,
+        j_eff=float(np.pi / (2.0 * (tau0 + p * tau1))),
         evaluations=evaluations,
         converged=converged,
     )

@@ -207,10 +207,10 @@ _REGIME_TRAP_LOW, _REGIME_TRAP_HIGH = 0.59, 0.79
 
 def synthesize_walk_pulse(
     tau: float, constants: PhysicalConstants = PhysicalConstants()
-) -> tuple[list, list]:
+) -> list:
     """Rabi fragment of integrated area exactly 2*tau.
 
-    Returns (breakpoints, warnings); breakpoints are (t, Omega) starting at 0.
+    Returns the (t, Omega) breakpoints, starting at 0.
     Short pulses are triangles (fixed 0.10 us, then stretched once the peak
     hits the cap); longer ones are trapezoids, first at reduced amplitude over
     0.15 us, then at full amplitude with a growing plateau.
@@ -240,7 +240,7 @@ def synthesize_walk_pulse(
     peak_val = max(v for _, v in pts)
     if peak_val > om * (1.0 + 1e-12):
         raise ValueError(f"pulse for tau={tau} exceeds amplitude cap")
-    return pts, []
+    return pts
 
 
 _LOCAL_PULSE_DUR = 0.10
@@ -284,7 +284,6 @@ class RydbergProgram:
     layout: AtomLayout
     waveform: Waveform
     duration: float
-    schedule: Optional[AnsatzSchedule] = None
     constants: PhysicalConstants = PhysicalConstants()
 
 
@@ -300,7 +299,6 @@ def compile_program(
     eta: Optional[float] = None,
     scale: float = 1.0,
     row_snap: bool = False,
-    layout: Optional[AtomLayout] = None,
 ) -> RydbergProgram:
     """Concatenate pulse fragments in ansatz order over a ring layout.
 
@@ -321,7 +319,7 @@ def compile_program(
         if kind == "walk":
             if val == 0.0:
                 continue
-            pts, _ = synthesize_walk_pulse(val, constants)
+            pts = synthesize_walk_pulse(val, constants)
             _append_shifted(wf.amplitude, pts, t)
             t += pts[-1][0]
         elif schedule.phasor_kind == "hamming":
@@ -344,13 +342,10 @@ def compile_program(
     duration = t
     # single fixed-point pass: recompute geometry at the drive-on average of Omega
     omega_avg = _drive_on_average(wf.amplitude)
-    if layout is None:
-        layout = ring_layout(n, constants, omega_avg=omega_avg, eta=eta,
-                             scale=scale, row_snap=row_snap)
+    layout = ring_layout(n, constants, omega_avg=omega_avg, eta=eta,
+                         scale=scale, row_snap=row_snap)
     return RydbergProgram(
-        layout=layout, waveform=wf, duration=duration,
-        schedule=schedule, constants=constants,
-    )
+        layout=layout, waveform=wf, duration=duration, constants=constants)
 
 
 def _drive_on_average(amplitude: list) -> Optional[float]:
@@ -565,9 +560,10 @@ def write_shot_file(path: str, shot_set: ShotSet) -> None:
 
 
 def read_shot_file(path: str) -> ShotSet:
-    """Read a file written by ``write_shot_file``.  A malformed header or a
-    line that is not an n-bit string of 0s and 1s raises ValueError, a
-    header without ``n``, ``p00`` or ``p11`` KeyError."""
+    """Read a file written by ``write_shot_file``.  A malformed header, a
+    line that is not an n-bit string of 0s and 1s, no shot lines, or a
+    header ``shots`` count other than the number of lines (a truncated file)
+    raises ValueError, a header without ``n``, ``p00`` or ``p11`` KeyError."""
     with open(path) as f:
         header = f.readline().strip()
         if not header.startswith("#"):
@@ -577,6 +573,11 @@ def read_shot_file(path: str) -> ShotSet:
         lines = [line.strip() for line in f if line.strip()]
     if any(len(line) != n or set(line) - {"0", "1"} for line in lines):
         raise ValueError(f"shot lines must be {n}-bit strings of 0s and 1s")
+    if not lines:
+        raise ValueError("shot file has no shots")
+    if "shots" in meta and int(meta["shots"]) != len(lines):
+        raise ValueError(
+            f"header counts {meta['shots']} shots, file has {len(lines)}")
     masks = [int(line, 2) for line in lines]
     seed = None if meta.get("seed") in (None, "None") else int(meta["seed"])
     return ShotSet(

@@ -257,7 +257,7 @@ def test_criterion_6_waveform_identities():
     ])
     area_ok = True
     for tau in taus:
-        pts, _ = ry.synthesize_walk_pulse(float(tau))
+        pts = ry.synthesize_walk_pulse(float(tau))
         ts = np.array([t for t, _ in pts])
         vs = np.array([v for _, v in pts])
         if abs(np.trapezoid(vs, ts) - 2 * tau) > 1e-9 * 2 * tau:

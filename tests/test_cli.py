@@ -145,6 +145,48 @@ def test_emulate_shots_require_outfile(tmp_path):
     assert run(["emulate", "--schedule", str(sched), "--shots", "50"]) == 1
 
 
+def test_emulate_has_no_max_step_flag(tmp_path):
+    # the ramp step is the constant rydberg.MAX_STEP
+    sched = _make_schedule(tmp_path)
+    out = tmp_path / "report.json"
+    assert run(["emulate", "--schedule", str(sched), "--max-step", "0.001",
+                "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def _bounds_case_args(tmp_path, command):
+    if command == "emulate":
+        return ["--schedule", str(_make_schedule(tmp_path)),
+                "--shots-out", str(tmp_path / "shots.txt")]
+    if command == "mitigate":
+        shots = tmp_path / "in.txt"
+        shots.write_text("# n=5 shots=2 p00=0.99 p11=0.93 seed=1\n"
+                         "00101\n00000\n")
+        return ["--shots-file", str(shots), "--target", "half"]
+    return ["--ring", "5", "--target", "half"]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("prep-product", ["--depth", "9"]),     # above prep_product.MAX_DEPTH
+    ("prep-bracelet", ["--dtau", "0"]),
+    ("quench", ["--dtau", "0"]),
+    ("emulate", ["--shots", "-5"]),
+    ("emulate", ["--shots", "50", "--p00", "1.7"]),
+    ("emulate", ["--shots", "50", "--p11", "0.5"]),
+    ("mitigate", ["--p00", "0.4"]),
+    ("mitigate", ["--p11", "1.2"]),
+    ("mitigate", ["--resamples", "0"]),
+], ids=["depth", "bracelet-dtau", "quench-dtau", "shots", "emulate-p00",
+        "emulate-p11", "mitigate-p00", "mitigate-p11", "resamples"])
+def test_flag_out_of_bounds_exits_one(tmp_path, command, flags):
+    # flags are checked like config fields: exit 1 and no output written
+    args = _bounds_case_args(tmp_path, command)
+    before = set(tmp_path.iterdir())
+    out = tmp_path / "out.txt"
+    assert run([command, *args, *flags, "--out", str(out)]) == 1
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_mitigate_pipeline(tmp_path, capsys):
     sched = _make_schedule(tmp_path)
     shots = tmp_path / "shots.txt"
@@ -165,7 +207,10 @@ def test_mitigate_pipeline(tmp_path, capsys):
     "# n=5 p00=0.99 p11=0.93 seed=1\n00101\n0010x\n",
     "# n=5 p00=0.99 p11=0.93 seed=1\n00101\n001010\n",
     "# p00=0.99 p11=0.93 seed=1\n00101\n",
-], ids=["missing", "no-header", "not-bits", "too-wide", "no-width"])
+    "# n=5 shots=0 p00=0.99 p11=0.93 seed=1\n",
+    "# n=5 shots=3 p00=0.99 p11=0.93 seed=1\n00101\n00000\n",
+], ids=["missing", "no-header", "not-bits", "too-wide", "no-width", "no-shots",
+        "truncated"])
 def test_mitigate_rejects_bad_shot_file(tmp_path, content):
     shots = tmp_path / "shots.txt"
     if content is not None:
@@ -564,6 +609,12 @@ def test_run_config_rejects_bad_target_before_running(tmp_path, rings,
                                                       targets):
     # every (ring, target) pair is checked before any instance runs
     assert _run_rejected(tmp_path, rings=rings, targets=targets) == (1, False)
+
+
+def test_run_config_rejects_emulation_max_step(tmp_path):
+    # the ramp step is the constant rydberg.MAX_STEP, not a config field
+    assert _run_rejected(tmp_path, backends=["ctqw", "rydberg"],
+                         emulation={"max_step": 0.001}) == (1, False)
 
 
 def test_run_bracelet_pipeline_deterministic(tmp_path):

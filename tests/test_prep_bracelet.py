@@ -30,7 +30,7 @@ def test_reduced_walk_matches_full_simulation():
     plan = pb.BraceletPlan(tau_tot=2.4, p=2, tau=0.8,
                            gamma=np.array([0.3, -0.5]), success=0.0,
                            converged=True)
-    reduced_p = pb.evaluate_bracelet(plan, gen, orbit, reduced=rw)
+    reduced_p = pb.evaluate_bracelet(plan, rw, orbit)
     # full-space reference through the generic ansatz runner
     sched = pb.bracelet_schedule(plan)
     final = ctqw.run_ansatz(sched, gen)
@@ -62,7 +62,7 @@ def test_reduced_walk_is_the_isometry_projection(n):
     assert np.abs(rw.eigenvalues - np.linalg.eigvalsh(ref)).max() < 1e-12
     v = rw.eigenvectors
     assert np.abs((v * rw.eigenvalues) @ v.T - ref).max() < 1e-12
-    assert rw.orbits[rw.start_index].representative == 0
+    assert rw.orbits[0].representative == 0
     assert rw.weights.tolist() == [o.weight() for o in rw.orbits]
     # the sector's momentum columns are the orbit superpositions themselves
     eb = gen.eig()
@@ -82,7 +82,7 @@ def test_tabulated_gamma_vectors_reproduce_success(row):
     basis, gen = _setup(n)
     orbit = ss.dihedral_orbit(ss.str_to_bits(row[2]), n)
     plan = _plan_from_row(row)
-    got = pb.evaluate_bracelet(plan, gen, orbit)
+    got = pb.evaluate_bracelet(plan, pb.reduced_walk(gen), orbit)
     assert got == pytest.approx(row[6], abs=0.02)
 
 
@@ -100,7 +100,7 @@ def test_peak_scan_finds_target_revival():
     n = 6
     basis, gen = _setup(n)
     orbit = ss.dihedral_orbit(ss.str_to_bits("000101"), n)
-    scan = pb.peak_scan(gen, orbit, tau_max=12.0, dtau=0.02)
+    scan = pb.peak_scan(pb.reduced_walk(gen), orbit, tau_max=12.0, dtau=0.02)
     assert len(scan.peaks) >= 1
     # populations at reported peaks exceed the scan threshold
     for tau_pk, pop in scan.peaks:
@@ -111,15 +111,16 @@ def test_optimize_improves_or_holds():
     n = 6
     basis, gen = _setup(n)
     orbit = ss.dihedral_orbit(ss.str_to_bits("000101"), n)
-    scan = pb.peak_scan(gen, orbit, tau_max=12.0, dtau=0.02)
+    rw = pb.reduced_walk(gen)
+    scan = pb.peak_scan(rw, orbit, tau_max=12.0, dtau=0.02)
     tau_pk = next(t for t, _ in scan.peaks if t >= 2.0)
     plan0 = pb.plan_from_peak(tau_pk)
-    base = pb.evaluate_bracelet(plan0, gen, orbit)
-    plan = pb.optimize_bracelet(plan0, gen, orbit)
+    base = pb.evaluate_bracelet(plan0, rw, orbit)
+    plan = pb.optimize_bracelet(plan0, rw, orbit)
     assert plan.success >= base - 1e-9
     # the start is not gamma = 0, so also check against the bare walk
     bare = pb.evaluate_bracelet(replace(plan0, gamma=np.zeros(plan0.p)),
-                                gen, orbit)
+                                rw, orbit)
     assert plan.success >= bare - 1e-9
 
 
@@ -160,7 +161,7 @@ def test_adjoint_gradient_matches_finite_differences(n):
         f, grad = pb._success_and_gradient(rw, t_idx, tau, gamma)
         plan = pb.BraceletPlan(tau_tot=(p + 1) * tau, p=p, tau=tau, gamma=gamma)
         assert f == pytest.approx(
-            pb.evaluate_bracelet(plan, gen, orbit, reduced=rw), abs=1e-14)
+            pb.evaluate_bracelet(plan, rw, orbit), abs=1e-14)
         np.testing.assert_allclose(
             grad, _central_difference(rw, t_idx, tau, gamma), rtol=0, atol=1e-7)
         largest = max(largest, np.abs(grad).max())
@@ -190,7 +191,7 @@ def test_prepare_bracelet_half_targets(n):
     assert plan.converged
     assert plan.evaluations > 0
     assert plan.success == pytest.approx(
-        pb.evaluate_bracelet(plan, gen, orbit), abs=1e-12)
+        pb.evaluate_bracelet(plan, pb.reduced_walk(gen), orbit), abs=1e-12)
 
 
 def test_equal_successes_keep_shallower_plan(monkeypatch):
@@ -199,14 +200,14 @@ def test_equal_successes_keep_shallower_plan(monkeypatch):
     orbit = ss.dihedral_orbit(ss.str_to_bits("000101"), n)
     successes = iter([0.5, 0.9, 0.9 + 0.5 * pb.SUCCESS_TOL, 0.99])
 
-    def fake_optimize(plan, gen, orbit, reduced=None):
+    def fake_optimize(plan, rw, orbit):
         return pb.BraceletPlan(tau_tot=plan.tau_tot, p=plan.p, tau=plan.tau,
                                gamma=plan.gamma, success=next(successes),
                                evaluations=10)
 
     monkeypatch.setattr(pb, "optimize_bracelet", fake_optimize)
     plan = pb.prepare_bracelet(gen, orbit)
-    scan = pb.peak_scan(gen, orbit, 20.0, 0.02)
+    scan = pb.peak_scan(pb.reduced_walk(gen), orbit, 20.0, 0.02)
     feasible = [t for t, _ in scan.peaks[1:] if np.floor(t / pb.TAU_MIN_HW) - 2 >= 2]
     # the third plan ties the second within SUCCESS_TOL: the scan stops there
     assert plan.success == 0.9
@@ -222,6 +223,7 @@ def test_gamma_sign_irrelevant_for_ideal_walk():
     plan = _plan_from_row(row)
     flipped = pb.BraceletPlan(tau_tot=plan.tau_tot, p=plan.p, tau=plan.tau,
                               gamma=-plan.gamma, success=0.0, converged=True)
-    a = pb.evaluate_bracelet(plan, gen, orbit)
-    b = pb.evaluate_bracelet(flipped, gen, orbit)
+    rw = pb.reduced_walk(gen)
+    a = pb.evaluate_bracelet(plan, rw, orbit)
+    b = pb.evaluate_bracelet(flipped, rw, orbit)
     assert a == pytest.approx(b, abs=1e-4)

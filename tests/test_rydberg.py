@@ -28,7 +28,7 @@ def test_pulse_area_identity_sweep():
         [0.395, 0.59, 0.79, 0.3949999, 0.5900001, 0.7900001, 2.0],
     ])
     for tau in taus:
-        pts, _ = ry.synthesize_walk_pulse(float(tau))
+        pts = ry.synthesize_walk_pulse(float(tau))
         area = _pulse_area(pts)
         assert abs(area - 2 * tau) <= 1e-9 * 2 * tau
         assert max(v for _, v in pts) <= C.omega_max + 1e-12
@@ -36,22 +36,22 @@ def test_pulse_area_identity_sweep():
 
 def test_pulse_regime_shapes():
     # fixed-duration triangle
-    pts, _ = ry.synthesize_walk_pulse(0.2)
+    pts = ry.synthesize_walk_pulse(0.2)
     dur = max(t for t, _ in pts) - min(t for t, _ in pts)
     assert dur == pytest.approx(0.10)
     assert max(v for _, v in pts) == pytest.approx(2 * 2 * 0.2 / 0.10)
     # growing triangle at full amplitude
-    pts, _ = ry.synthesize_walk_pulse(0.5)
+    pts = ry.synthesize_walk_pulse(0.5)
     dur = max(t for t, _ in pts) - min(t for t, _ in pts)
     assert dur == pytest.approx(4 * 0.5 / C.omega_max)
     assert max(v for _, v in pts) == pytest.approx(C.omega_max)
     # reduced-amplitude trapezoid, fixed 0.15 us
-    pts, _ = ry.synthesize_walk_pulse(0.7)
+    pts = ry.synthesize_walk_pulse(0.7)
     dur = max(t for t, _ in pts) - min(t for t, _ in pts)
     assert dur == pytest.approx(0.15)
     assert max(v for _, v in pts) == pytest.approx(20 * 0.7)
     # full-amplitude trapezoid
-    pts, _ = ry.synthesize_walk_pulse(1.3)
+    pts = ry.synthesize_walk_pulse(1.3)
     dur = max(t for t, _ in pts) - min(t for t, _ in pts)
     assert dur == pytest.approx(2 * 1.3 / C.omega_max + 0.05)
     assert max(v for _, v in pts) == pytest.approx(C.omega_max)
@@ -60,7 +60,7 @@ def test_pulse_regime_shapes():
 def test_pulse_slew_respects_rise_time():
     # full-amplitude segments never rise faster than omega_max / rise_time
     for tau in (0.2, 0.5, 0.7, 1.3, 2.6):
-        pts, _ = ry.synthesize_walk_pulse(tau)
+        pts = ry.synthesize_walk_pulse(tau)
         max_slew = C.omega_max / C.rise_time
         for (t0, v0), (t1, v1) in zip(pts[:-1], pts[1:]):
             if t1 > t0:
@@ -199,12 +199,11 @@ def test_phase_steps_are_right_continuous():
 
 
 def _single_atom_program(tau):
-    pts, warn = ry.synthesize_walk_pulse(tau)
+    pts = ry.synthesize_walk_pulse(tau)
     layout = ry.AtomLayout(positions=np.zeros((1, 2)), r_max=0.0,
                            r_min=np.inf, eta=1.0, r_b=0.0, diameter=0.0)
     wf = ry.Waveform(amplitude=list(pts), phase=[(0.0, 0.0)],
-                     global_detuning=[(0.0, 0.0)], local_detuning=[],
-                     warnings=list(warn))
+                     global_detuning=[(0.0, 0.0)], local_detuning=[])
     return ry.RydbergProgram(layout=layout, waveform=wf,
                              duration=max(t for t, _ in pts))
 
@@ -222,7 +221,7 @@ def test_two_atom_blockade_suppression():
     # nearest-neighbor pair: double excitation bounded by the perturbative
     # bright-state estimate 2*(Omega/2V)^2
     d = 6.0
-    pts, _ = ry.synthesize_walk_pulse(1.0)
+    pts = ry.synthesize_walk_pulse(1.0)
     layout = ry.AtomLayout(positions=np.array([[0.0, 0.0], [d, 0.0]]),
                            r_max=d, r_min=np.inf, eta=1.0, r_b=d,
                            diameter=0.0)
