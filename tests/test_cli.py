@@ -145,15 +145,6 @@ def test_emulate_shots_require_outfile(tmp_path):
     assert run(["emulate", "--schedule", str(sched), "--shots", "50"]) == 1
 
 
-def test_emulate_has_no_max_step_flag(tmp_path):
-    # the ramp step is the constant rydberg.MAX_STEP
-    sched = _make_schedule(tmp_path)
-    out = tmp_path / "report.json"
-    assert run(["emulate", "--schedule", str(sched), "--max-step", "0.001",
-                "--out", str(out)]) == 1
-    assert not out.exists()
-
-
 def _bounds_case_args(tmp_path, command):
     if command == "emulate":
         return ["--schedule", str(_make_schedule(tmp_path)),
@@ -176,9 +167,11 @@ def _bounds_case_args(tmp_path, command):
     ("mitigate", ["--p00", "0.4"]),
     ("mitigate", ["--p11", "1.2"]),
     ("mitigate", ["--resamples", "0"]),
+    ("emulate", ["--max-step", "0.001"]),   # the step is rydberg.MAX_STEP
 ], ids=["depth", "bracelet-dtau", "quench-dtau", "shots", "emulate-p00",
-        "emulate-p11", "mitigate-p00", "mitigate-p11", "resamples"])
-def test_flag_out_of_bounds_exits_one(tmp_path, command, flags):
+        "emulate-p11", "mitigate-p00", "mitigate-p11", "resamples",
+        "max-step"])
+def test_bad_flag_exits_one(tmp_path, command, flags):
     # flags are checked like config fields: exit 1 and no output written
     args = _bounds_case_args(tmp_path, command)
     before = set(tmp_path.iterdir())
