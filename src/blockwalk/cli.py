@@ -45,7 +45,8 @@ CONFIG_SCHEMA = {
         "rings": {
             "type": "array",
             "minItems": 1,
-            "items": {"type": "integer", "minimum": 3},
+            "items": {"type": "integer", "minimum": 3,
+                      "maximum": subspace.MAX_VERTICES},
         },
         "targets": {
             "type": "array",
@@ -109,24 +110,42 @@ _BOUND_CHECKS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt,
                  "maximum": operator.le}
 
 
+def _limits(bounds: dict) -> dict:
+    """The JSON-schema bounds (``minimum``, ``exclusiveMinimum``,
+    ``maximum``) of a schema entry."""
+    return {key: bounds[key] for key in _BOUND_CHECKS if key in bounds}
+
+
+def _within(value, limits: dict) -> bool:
+    """Whether ``value`` meets every one of `_limits`; NaN meets none."""
+    return all(_BOUND_CHECKS[key](value, bound)
+               for key, bound in limits.items())
+
+
 def _bounded(cast, bounds: dict):
     """argparse ``type=`` that casts a flag and checks it against JSON-schema
-    bounds (``minimum``, ``exclusiveMinimum``, ``maximum``); argparse reports
-    a value outside them, or NaN, as a usage error."""
-    limits = {key: bounds[key] for key in _BOUND_CHECKS if key in bounds}
+    bounds; argparse reports a value outside them, or NaN, as a usage
+    error."""
+    limits = _limits(bounds)
 
     def parse(text: str):
         value = cast(text)
-        if not all(_BOUND_CHECKS[key](value, bound)
-                   for key, bound in limits.items()):
+        if not _within(value, limits):
             raise argparse.ArgumentTypeError(f"{text} is outside {limits}")
         return value
     return parse
 
 
+# readout fidelities take the config schema's channel bounds, as flags and
+# as shot-file header values
+_CHANNEL_LIMITS = {key: _limits(bounds) for key, bounds in
+                   CONFIG_SCHEMA["properties"]["channel"]["properties"].items()}
+
+
 def _check_ring(n: int) -> None:
-    if n < 3:
-        raise ValidationFailure(f"ring must be >= 3, got {n}")
+    if not 3 <= n <= subspace.MAX_VERTICES:
+        raise ValidationFailure(
+            f"ring must have 3 to {subspace.MAX_VERTICES} sites, got {n}")
 
 
 def resolve_target(n: int, spec: str) -> str:
@@ -318,9 +337,13 @@ def cmd_mitigate(args) -> int:
             f"cannot read shot file {args.shots_file}: {exc!r}") from exc
     _, z = _ring_target(shots.n_bits, args.target)
     basis = subspace.enumerate_subspace(subspace.ring_graph(shots.n_bits))
-    p00 = args.p00 if args.p00 is not None else shots.p00
-    p11 = args.p11 if args.p11 is not None else shots.p11
-    channel = mitigation.ReadoutChannel(p00=p00, p11=p11)
+    channel = {"p00": shots.p00 if args.p00 is None else args.p00,
+               "p11": shots.p11 if args.p11 is None else args.p11}
+    for key, value in channel.items():
+        if not _within(value, _CHANNEL_LIMITS[key]):
+            raise ValidationFailure(
+                f"{key}={value} is outside {_CHANNEL_LIMITS[key]}")
+    channel = mitigation.ReadoutChannel(**channel)
     result = mitigation.reconstruct_with_ci(
         shots, basis, channel, z,
         resamples=args.resamples, seed=args.seed)
@@ -634,9 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     positive = _bounded(float, {"exclusiveMinimum": 0})
-    # readout fidelities take the config schema's channel bounds
-    fidelity = {k: _bounded(float, v) for k, v in CONFIG_SCHEMA["properties"]
-                ["channel"]["properties"].items()}
+    fidelity = {k: _bounded(float, v) for k, v in _CHANNEL_LIMITS.items()}
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)

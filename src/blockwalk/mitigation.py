@@ -5,6 +5,15 @@ per-bit Bernoulli background for everything outside it, convolved with an
 asymmetric per-bit readout channel.  Expectation-maximization recovers the
 maximum-likelihood parameters; a nonparametric bootstrap gives confidence
 intervals on target probabilities.
+
+Every per-bit product the EM needs comes from one matrix product.  A row's
+table holds, per bit j, [P(read 1 | phi_j), P(read 0 | phi_j), phi_j,
+1 - phi_j]; the logs of the tables of R rows, (R, 4N), times a fixed 0/1
+design matrix (4N, U + |V| + 1) give in one exponential the full-space
+convolution of each of the U distinct shots, the Bernoulli probability of
+each subspace state, and (without the exponential) the Beta penalty.  The
+design matrix depends only on the shots, the subspace and the prior, so it
+is built once per fit.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ PARAM_CLIP = 1e-12
 DEFAULT_EPS = 1e-8
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_RESAMPLES = 1000
-# rows x bits x distinct shots per `_em_fit` call of the bootstrap
+# rows x (distinct shots + subspace states), the largest `_em_fit`
+# temporary, per call of the bootstrap
 _EM_BLOCK_ELEMENTS = 1 << 19
 # rows x shots per resample draw of the bootstrap
 _DRAW_ELEMENTS = 1 << 15
@@ -92,49 +102,69 @@ def _likelihood_matrix(
     return np.exp(logs)
 
 
-def _bit_tables(
+def _design_tables(
     z: np.ndarray, subspace_states: np.ndarray, channel: ReadoutChannel,
     n_bits: int,
 ) -> tuple:
-    """P(z_j | s_j=1) and P(z_j | s_j=0) per bit and shot, both (N, U), and
-    the Rydberg-bit mask (N, |V|) of the subspace states.
+    """The fixed inputs of `_bit_products` for shots z and the subspace.
 
+    Returns (design (4N, U + |V|), offset (4,), slope (4,)).  Row j of a
+    parameter's table is offset + phi_j slope = [P(read 1 | phi_j),
+    P(read 0 | phi_j), phi_j, 1 - phi_j].  Design row 4j + c is 1 where a
+    column takes factor c of bit j: a shot column takes factor 0 where it
+    read 1 and factor 1 where it read 0, a subspace-state column takes
+    factor 2 where the state holds an excitation and factor 3 where not.
     These depend only on the shots, the subspace and the channel, so one EM
-    run computes them once and reuses them at every likelihood evaluation.
-    Bits run along the first axis so the per-bit parameters broadcast over
-    long rows.
+    run builds them once.
     """
     shift = np.arange(n_bits, dtype=np.uint64)[:, None]
-    z_on = ((z.astype(np.uint64)[None, :] >> shift) & np.uint64(1)) == 1
-    p_given1 = np.where(z_on, channel.p11, 1.0 - channel.p11)
-    p_given0 = np.where(z_on, 1.0 - channel.p00, channel.p00)
-    s_on = ((subspace_states.astype(np.uint64)[None, :] >> shift)
-            & np.uint64(1)) == 1
-    return p_given1, p_given0, s_on
+    z_on = (z.astype(np.uint64)[None, :] >> shift) & np.uint64(1)
+    s_on = (subspace_states.astype(np.uint64)[None, :] >> shift) \
+        & np.uint64(1)
+    u = z_on.shape[1]
+    design = np.zeros((n_bits, 4, u + s_on.shape[1]))
+    design[:, 0, :u] = z_on
+    design[:, 1, :u] = 1 - z_on
+    design[:, 2, u:] = s_on
+    design[:, 3, u:] = 1 - s_on
+    p00, p11 = channel.p00, channel.p11
+    return (design.reshape(4 * n_bits, -1),
+            np.array([1.0 - p00, p00, 0.0, 1.0]),
+            np.array([p00 + p11 - 1.0, 1.0 - p00 - p11, 1.0, -1.0]))
 
 
-def _background_from_tables(
-    phi_perp: np.ndarray,
-    p_given1: np.ndarray,
-    p_given0: np.ndarray,
-    s_on: np.ndarray,
-    L_sub: np.ndarray,
-) -> tuple:
-    """`_background_likelihood` on precomputed `_bit_tables`.
+def _bit_products(phi_perp: np.ndarray, design: np.ndarray,
+                  offset: np.ndarray, slope: np.ndarray) -> tuple:
+    """Every per-bit product of R rows of `phi_perp` (R, N) as one GEMM.
 
-    `phi_perp` is (N,) or a stack (R, N); the outputs gain the same leading
-    axis.  Also returns the (..., N, U) factors phi_j P(z_j|1) and
-    phi_j P(z_j|1) + (1 - phi_j) P(z_j|0); their ratio is the posterior
-    probability that bit j of shot z was a Rydberg excitation.
+    Returns the rows' tables (R, N, 4), floored at PROB_FLOOR, and
+    log(table) @ design.  Through the `_design_tables` design the
+    exponential of a shot column is the full-space convolution
+    prod_j P(z_j | phi_j), and of a subspace-state column the Bernoulli
+    probability P_out(s_k) = prod_j phi_j^s_kj (1 - phi_j)^(1 - s_kj).
+    The floor keeps a zero factor from making 0 * log(0) = NaN in the
+    GEMM: the product it enters falls below PROB_FLOOR instead of to 0.
     """
-    pp = phi_perp[..., :, None]
-    qq = 1.0 - pp
-    on = pp * p_given1
-    per_bit = on + qq * p_given0
-    # in-subspace correction: sum_k P_out(s_k) K(z_i|s_k)
-    p_out = np.where(s_on, pp, qq).prod(axis=-2)           # (..., |V|)
-    l_perp = np.maximum(per_bit.prod(axis=-2) - p_out @ L_sub, 0.0)
-    return l_perp, p_out.sum(axis=-1), on, per_bit
+    table = np.maximum(offset + phi_perp[:, :, None] * slope, PROB_FLOOR)
+    return table, np.log(table).reshape(len(table), -1) @ design
+
+
+def _background(prods: np.ndarray, L1: np.ndarray) -> tuple:
+    """(unnormalized complement likelihoods (R, U), Bernoulli mass on the
+    subspace (R, 1)) from the exponentiated `_bit_products`.
+
+    `L1` is the likelihood matrix (|V|, U) with a column of ones appended.
+    The full-space convolution factorizes per bit; subtracting the |V|
+    terms sum_k P_out(s_k) K(z|s_k) that belong to the subspace leaves the
+    complement sum exactly, and the ones column sums P_out over V.
+    """
+    u = L1.shape[1] - 1
+    sub = prods[:, u:u + len(L1)] @ L1
+    return np.maximum(prods[:, :u] - sub[:, :u], 0.0), sub[:, u:]
+
+
+def _ones_column(a: np.ndarray) -> np.ndarray:
+    return np.hstack([a, np.ones((len(a), 1))])
 
 
 def _background_likelihood(
@@ -147,13 +177,13 @@ def _background_likelihood(
 ) -> tuple:
     """(unnormalized complement likelihoods, Bernoulli mass on the subspace).
 
-    The full-space convolution factorizes per bit; subtracting the |V| terms
-    that belong to the subspace leaves the complement sum exactly.  Dividing
-    by 1 - mass(V) normalizes the background into a proper component density.
+    Computed by the evaluation `_em_fit` runs; dividing by 1 - mass(V)
+    normalizes the background into a proper component density.
     """
-    l_perp, mass_v, _, _ = _background_from_tables(
-        phi_perp, *_bit_tables(z, subspace_states, channel, n_bits), L_sub)
-    return l_perp, float(mass_v)
+    tables = _design_tables(z, subspace_states, channel, n_bits)
+    _, logs = _bit_products(np.asarray(phi_perp, float)[None, :], *tables)
+    l_perp, mass_v = _background(np.exp(logs), _ones_column(L_sub))
+    return l_perp[0], float(mass_v[0, 0])
 
 
 @dataclass
@@ -192,106 +222,124 @@ def _em_fit(
     """Damped EM for R shot histograms over the same U distinct shots.
 
     `counts` is (R, U) (zero where a histogram lacks a shot), `L` the
-    (|V|, U) likelihood matrix and `tables` the `_bit_tables` of the shots.
-    Every row runs the iteration of `em_reconstruct` on its own: its own
-    step halving, convergence test and iteration count; the rows only share
-    numpy calls.  Returns (phi_v (R, |V|), phi_perp (R, N), iterations (R,),
-    converged (R,), traces), where traces holds each row's
-    (log-likelihood, objective) lists when `record` is set.
+    (|V|, U) likelihood matrix and `tables` the `_design_tables` of the
+    shots.  Every row runs the iteration of `em_reconstruct` on its own: its
+    own step halving, convergence test and iteration count; the rows only
+    share numpy calls.  A row's parameters are one vector
+    [phi_v | phi_perp] of length |V| + N.  Returns (phi_v (R, |V|),
+    phi_perp (R, N), iterations (R,), converged (R,), traces), where traces
+    holds each row's (log-likelihood, objective) lists when `record` is set:
+    at the start and after every iteration, so the last entries are those of
+    the returned parameters.
     """
-    p1z, p0z, s_on = tables
+    design, offset, slope = tables
     alpha, beta = prior
-    n = p1z.shape[0]
-    n_rows, n_v = counts.shape[0], L.shape[0]
-    weights = counts.astype(float)
-    total = weights.sum(axis=1)
+    n_v, u = L.shape
+    n = len(design) // 4
+    n_rows = counts.shape[0]
+    # one more design column: the Beta penalty sum_j a log phi_j
+    # + b log(1 - phi_j)
+    design = np.hstack([design, np.tile([0.0, 0.0, alpha, beta], n)[:, None]])
+    L1 = _ones_column(L)
+    LT = np.ascontiguousarray(L.T)
+    # (U, 2N + 1): per bit, the shots that read 1 and those that read 0,
+    # then ones; the posterior bit expectation takes one value on each
+    reads = _ones_column(design[:, :u].reshape(n, 4, u)[:, :2]
+                         .reshape(2 * n, u).T)
+    given1 = offset[:2] + slope[:2]              # P(read 1 | 1), P(read 0 | 1)
+    scale = np.repeat([1.0, 1.0 / n], [n_v, n])  # weights of the step size
+    w = counts.astype(float)
+    total = w.sum(axis=1, keepdims=True)
 
-    def _evaluate(w, pv, pp):
-        l_perp, mass_v, on, per_bit = _background_from_tables(
-            pp, p1z, p0z, s_on, L)
-        bg = l_perp / np.maximum(1.0 - mass_v, PROB_FLOOR)[:, None]
-        pi = np.maximum(1.0 - pv.sum(axis=1), PROB_FLOOR)
-        m = np.maximum(pv @ L + pi[:, None] * bg, PROB_FLOOR)
+    def _evaluate(w, theta):
+        table, logs = _bit_products(theta[:, n_v:], design, offset, slope)
+        l_perp, mass_v = _background(np.exp(logs), L1)
+        fit = theta[:, :n_v] @ L1             # sum_k phi_k L_ki, sum_k phi_k
+        pi = np.maximum(1.0 - fit[:, u:], PROB_FLOOR)
+        # the background component, pi B
+        bg = pi / np.maximum(1.0 - mass_v, PROB_FLOOR) * l_perp
+        m = np.maximum(fit[:, :u] + bg, PROB_FLOOR)
         ll = (w * np.log(m)).sum(axis=1)
-        obj = ll + (alpha * np.log(pp) + beta * np.log1p(-pp)).sum(axis=1)
-        # posterior bit expectation by channel inversion, (R, N, U)
-        post1 = on / np.maximum(per_bit, PROB_FLOOR)
-        return [ll, obj, m, bg, pi, post1]
+        return [ll, ll + logs[:, -1], m, bg, table]
 
-    out_v = np.full((n_rows, n_v), 1.0 / (n_v + 1))
-    out_p = np.full((n_rows, n), 0.5)
+    out = np.full((n_rows, n_v + n), 1.0 / (n_v + 1))
+    out[:, n_v:] = 0.5
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     traces = [([], []) for _ in range(n_rows)] if record else None
+
+    def _record(ll, obj):
+        for k, r in enumerate(live):
+            traces[r][0].append(float(ll[k]))
+            traces[r][1].append(float(obj[k]))
+
     # the rows still iterating and their state
-    rows = np.arange(n_rows)
-    w, tot, phi_v, phi_perp = weights, total, out_v.copy(), out_p.copy()
-    state = _evaluate(w, phi_v, phi_perp)
+    live = np.arange(n_rows)
+    theta = out.copy()
+    state = _evaluate(w, theta)
+    if record:
+        _record(*state[:2])
     it = 0
     for it in range(1, max_iter + 1):
-        ll, obj, m, bg, pi_perp, post1 = state
-        if record:
-            for k, r in enumerate(rows):
-                traces[r][0].append(float(ll[k]))
-                traces[r][1].append(float(obj[k]))
+        _, obj, m, bg, table = state
         # responsibilities rho_ki = phi_k L_ki / m_i, summed over shots
-        new_v = phi_v * ((w / m) @ L.T) / tot[:, None]
+        ratio = w / m
+        new_v = theta[:, :n_v] * (ratio @ LT) / total
         # penalized mean of the posterior bit expectations
-        w_perp = pi_perp[:, None] * bg / m * w
-        denom = w_perp.sum(axis=1) + alpha + beta
-        new_p = (np.matmul(post1, w_perp[:, :, None])[:, :, 0] + alpha) \
-            / denom[:, None]
-        new_v = np.clip(new_v, PARAM_CLIP, 1.0 - PARAM_CLIP)
-        new_p = np.clip(new_p, PARAM_CLIP, 1.0 - PARAM_CLIP)
+        sums = (bg * ratio) @ reads
+        post = (given1 / table[:, :, :2]) * sums[:, :-1].reshape(-1, n, 2)
+        new_p = (theta[:, n_v:] * post.sum(axis=2) + alpha) \
+            / (sums[:, -1:] + (alpha + beta))
+        new = np.maximum(np.concatenate([new_v, new_p], axis=1), PARAM_CLIP)
+        step = np.minimum(new, 1.0 - PARAM_CLIP) - theta
         # damped acceptance: halve a row's step until its objective is not
         # reduced (the complement renormalization spoils the exact M-step);
         # rows that never accept keep their parameters
-        cand_v, cand_p, cand = phi_v, phi_perp, state
-        accepted = np.zeros(len(rows), dtype=bool)
-        pending = slice(None)                   # every row, on the full step
-        lam = 1.0
-        for _ in range(40):
-            cv = phi_v[pending] + lam * (new_v[pending] - phi_v[pending])
-            cp = phi_perp[pending] + lam * (new_p[pending] - phi_perp[pending])
-            ev = _evaluate(w[pending], cv, cp)
-            ok = ev[1] >= obj[pending] - 1e-12
-            if isinstance(pending, slice):
-                if ok.all():
-                    cand_v, cand_p, cand = cv, cp, ev
-                    accepted[:] = True
+        floor = obj - 1e-12
+        trial = theta + step
+        ev = _evaluate(w, trial)
+        ok = ev[1] >= floor
+        cand, cand_state = trial, ev
+        stuck = None
+        if np.count_nonzero(ok) < len(ok):
+            cand, cand_state = theta.copy(), [x.copy() for x in state]
+            pending, lam = np.arange(len(live)), 1.0
+            for k in range(40):
+                if k:
+                    lam *= 0.5
+                    trial = theta[pending] + lam * step[pending]
+                    ev = _evaluate(w[pending], trial)
+                    ok = ev[1] >= floor[pending]
+                got = pending[ok]
+                cand[got] = trial[ok]
+                for x, y in zip(cand_state, ev):
+                    x[got] = y[ok]
+                pending = pending[~ok]
+                if len(pending) == 0:
                     break
-                cand_v, cand_p = phi_v.copy(), phi_perp.copy()
-                cand = [x.copy() for x in state]
-                pending = np.arange(len(rows))
-            got = pending[ok]
-            cand_v[got], cand_p[got] = cv[ok], cp[ok]
-            for x, y in zip(cand, ev):
-                x[got] = y[ok]
-            accepted[got] = True
-            pending = pending[~ok]
-            if len(pending) == 0:
-                break
-            lam *= 0.5
+            stuck = pending
+        done = np.abs(cand - theta) @ scale < eps
         # a row with no improving direction is at a stationary point
-        delta = (np.abs(cand_v - phi_v).sum(axis=1)
-                 + np.abs(cand_p - phi_perp).sum(axis=1) / n)
-        done = ~accepted | (delta < eps)
-        phi_v, phi_perp, state = cand_v, cand_p, cand
-        if done.any():
-            fin = rows[done]
-            out_v[fin], out_p[fin] = phi_v[done], phi_perp[done]
+        if stuck is not None:
+            done[stuck] = True
+        theta, state = cand, cand_state
+        if record:
+            _record(*state[:2])
+        if np.count_nonzero(done):
+            fin = live[done]
+            out[fin] = theta[done]
             iterations[fin] = it
             converged[fin] = True
             keep = ~done
-            rows, w, tot = rows[keep], w[keep], tot[keep]
-            phi_v, phi_perp = phi_v[keep], phi_perp[keep]
+            live, w, total = live[keep], w[keep], total[keep]
+            theta = theta[keep]
             state = [x[keep] for x in state]
-            if len(rows) == 0:
+            if len(live) == 0:
                 break
     # rows that ran out of iterations
-    out_v[rows], out_p[rows] = phi_v, phi_perp
-    iterations[rows] = it
-    return out_v, out_p, iterations, converged, traces
+    out[live] = theta
+    iterations[live] = it
+    return out[:, :n_v], out[:, n_v:], iterations, converged, traces
 
 
 def _shot_histogram(shots: ShotSet, basis: SubspaceBasis) -> tuple:
@@ -306,10 +354,10 @@ def _shot_histogram(shots: ShotSet, basis: SubspaceBasis) -> tuple:
 
 def _em_inputs(uniq: np.ndarray, basis: SubspaceBasis,
                channel: ReadoutChannel) -> tuple:
-    """(likelihood matrix (|V|, U), `_bit_tables`) of the distinct shots."""
+    """(likelihood matrix (|V|, U), `_design_tables`) of the distinct shots."""
     states = np.asarray(basis.states, dtype=np.uint64)
     return (_likelihood_matrix(uniq, states, basis.n_bits, channel),
-            _bit_tables(uniq, states, channel, basis.n_bits))
+            _design_tables(uniq, states, channel, basis.n_bits))
 
 
 def em_reconstruct(
@@ -405,7 +453,7 @@ def bootstrap_ci(
     # share one likelihood matrix and are fitted together, in row blocks of
     # bounded size; a block's resamples are drawn a few rows at a time, the
     # same stream as one draw of len(shots) per resample
-    block = max(1, _EM_BLOCK_ELEMENTS // (basis.n_bits * u))
+    block = max(1, _EM_BLOCK_ELEMENTS // (u + len(basis)))
     step = max(1, _DRAW_ELEMENTS // n)
     fits = []
     for i in range(0, resamples, block):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .ctqw import AnsatzSchedule, expm_krylov
-from .subspace import SubspaceBasis
+from .subspace import MAX_VERTICES, SubspaceBasis
 
 __all__ = [
     "PhysicalConstants",
@@ -562,14 +562,17 @@ def write_shot_file(path: str, shot_set: ShotSet) -> None:
 def read_shot_file(path: str) -> ShotSet:
     """Read a file written by ``write_shot_file``.  A malformed header, a
     line that is not an n-bit string of 0s and 1s, no shot lines, or a
-    header ``shots`` count other than the number of lines (a truncated file)
-    raises ValueError, a header without ``n``, ``p00`` or ``p11`` KeyError."""
+    header ``shots`` count other than the number of lines (a truncated file),
+    or a width ``n`` above `subspace.MAX_VERTICES` raises ValueError, a header
+    without ``n``, ``p00`` or ``p11`` KeyError."""
     with open(path) as f:
         header = f.readline().strip()
         if not header.startswith("#"):
             raise ValueError("shot file missing header")
         meta = dict(kv.split("=") for kv in header[1:].split())
         n = int(meta["n"])
+        if n > MAX_VERTICES:
+            raise ValueError(f"shots wider than {MAX_VERTICES} bits")
         lines = [line.strip() for line in f if line.strip()]
     if any(len(line) != n or set(line) - {"0", "1"} for line in lines):
         raise ValueError(f"shot lines must be {n}-bit strings of 0s and 1s")

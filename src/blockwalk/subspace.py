@@ -14,6 +14,9 @@ import numpy as np
 
 from . import kernels
 
+# the widest graph the subspace layer enumerates: its states are uint64 masks
+MAX_VERTICES = 63
+
 
 def popcount(x: int) -> int:
     return bin(x).count("1")
@@ -115,8 +118,8 @@ def _lookup(states: np.ndarray, values):
 
 def enumerate_subspace(g: ConstraintGraph) -> SubspaceBasis:
     """All independent-set bitstrings of g in ascending integer order."""
-    if g.n_vertices > 63:
-        raise ValueError("supported up to 63 vertices")
+    if g.n_vertices > MAX_VERTICES:
+        raise ValueError(f"supported up to {MAX_VERTICES} vertices")
     return SubspaceBasis(
         g, kernels.enumerate_independent_sets(g.neighbor_masks, g.n_vertices))
 

@@ -202,8 +202,13 @@ def test_mitigate_pipeline(tmp_path, capsys):
     "# p00=0.99 p11=0.93 seed=1\n00101\n",
     "# n=5 shots=0 p00=0.99 p11=0.93 seed=1\n",
     "# n=5 shots=3 p00=0.99 p11=0.93 seed=1\n00101\n00000\n",
+    # header channels outside the (0.5, 1] the --p00/--p11 flags take
+    "# n=5 p00=2 p11=0.93 seed=1\n00101\n",
+    "# n=5 p00=0.3 p11=0.93 seed=1\n00101\n",
+    # wider than subspace.MAX_VERTICES
+    "# n=70 p00=0.99 p11=0.93 seed=1\n" + "1" + "0" * 69 + "\n",
 ], ids=["missing", "no-header", "not-bits", "too-wide", "no-width", "no-shots",
-        "truncated"])
+        "truncated", "p00-above-one", "p00-below-half", "too-many-sites"])
 def test_mitigate_rejects_bad_shot_file(tmp_path, content):
     shots = tmp_path / "shots.txt"
     if content is not None:
@@ -597,6 +602,7 @@ def test_run_config_rejects_emulation_above_14_atoms(tmp_path, backend):
     ([13, 5], ["half", "10100"]),   # 5 bits on the 13-ring
     ([5], ["half", "11000"]),       # adjacent sites on the 5-ring
     ([5], ["10001"]),               # adjacent across the wrap-around
+    ([5, 64], ["half"]),            # wider than subspace.MAX_VERTICES
 ])
 def test_run_config_rejects_bad_target_before_running(tmp_path, rings,
                                                       targets):

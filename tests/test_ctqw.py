@@ -419,17 +419,22 @@ def test_local_phasor_diagonal_values():
 
 
 def test_hamming_phasor_weight_phase():
-    basis, _ = _setup(6)
-    ph = ctqw.hamming_phasor(basis)
+    # a (gamma, 0) layer multiplies each amplitude of the tau0-only state by
+    # exp(-i gamma weight)
+    basis, gen = _setup(6)
     gamma = 0.37
-    sched = ctqw.AnsatzSchedule(tau0=0.0, layers=((gamma, 0.0),),
-                                phasor_kind="hamming")
-    gen = ctqw.build_generator(basis)
-    for s in (0, ss.str_to_bits("000101"), ss.str_to_bits("010101")):
-        out = ctqw.run_ansatz(sched, gen)
-        amp = out.amplitudes[basis.index_of(s)]
-        if s == 0:
-            assert np.isclose(amp, 1.0)  # start state, weight 0
+    walked = ctqw.run_ansatz(
+        ctqw.AnsatzSchedule(tau0=0.8, phasor_kind="hamming"), gen).amplitudes
+    out = ctqw.run_ansatz(
+        ctqw.AnsatzSchedule(tau0=0.8, layers=((gamma, 0.0),),
+                            phasor_kind="hamming"), gen).amplitudes
+    weights = basis.hamming_weights()
+    assert weights.max() == 3
+    # the walk has spread the state over every weight
+    for k in range(4):
+        assert np.abs(walked[weights == k]).max() > 1e-2
+    assert np.allclose(out, walked * np.exp(-1j * gamma * weights),
+                       rtol=0, atol=1e-13)
 
 
 def test_schedule_validation():

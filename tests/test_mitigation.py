@@ -56,18 +56,62 @@ def test_identity_channel_recovers_frequencies():
     assert model.out_of_subspace_mass < 1e-3
 
 
-def test_background_factorization_matches_bruteforce():
+@pytest.mark.parametrize("p00,p11,phi0", [(0.9, 0.93, None), (1.0, 0.93, 0.0),
+                                          (0.9, 1.0, 1.0)],
+                         ids=["noisy", "p00-one", "p11-one"])
+def test_background_factorization_matches_bruteforce(p00, p11, phi0):
+    # a perfect channel, with bit 0's phi at 0 or 1, puts zeros in the
+    # per-bit tables: their floored logs must give zero products, not NaN;
+    # an empty complement sum is the difference of two equal sums, so it
+    # comes out as their rounding
     basis = _basis(7)
-    ch = mt.ReadoutChannel(p00=0.9, p11=0.93)
+    ch = mt.ReadoutChannel(p00=p00, p11=p11)
     rng = np.random.default_rng(2)
     phi_perp = rng.uniform(0.05, 0.6, size=7)
+    if phi0 is not None:
+        phi_perp[0] = phi0
     zs = rng.integers(0, 1 << 7, size=40, dtype=np.uint64)
     L_sub = mt._likelihood_matrix(zs, basis.states, 7, ch)
     fast, mass_v = mt._background_likelihood(zs, phi_perp, basis.states,
                                              L_sub, ch, 7)
     for i, z in enumerate(zs):
         slow = mt.background_likelihood_bruteforce(int(z), phi_perp, basis, ch)
-        assert fast[i] == pytest.approx(slow, rel=1e-10, abs=1e-300)
+        if slow == 0.0:
+            assert 0.0 <= fast[i] <= 1e-15
+        else:
+            assert fast[i] == pytest.approx(slow, rel=1e-10, abs=1e-300)
+    assert mass_v == pytest.approx(
+        sum(np.prod(np.where([(int(s) >> j) & 1 for j in range(7)],
+                             phi_perp, 1.0 - phi_perp))
+            for s in basis.states), rel=1e-12)
+
+
+def test_log_likelihood_matches_bruteforce_mixture():
+    # the last log-likelihood of the fit is sum_i w_i log m_i at its fitted
+    # parameters, with m_i summed state by state and the background over
+    # the complement of the subspace by brute force
+    basis = _basis(5)
+    ch = mt.ReadoutChannel(0.95, 0.9)
+    rng = np.random.default_rng(2)
+    full = rng.standard_normal(1 << 5) + 0j      # mass outside the subspace
+    full /= np.linalg.norm(full)
+    shots = ry.sample_shots(full, 5, 500, p00=ch.p00, p11=ch.p11, seed=2)
+    model = mt.em_reconstruct(shots, basis, ch)
+    phi_v, phi_perp = model.phi_v, model.phi_perp
+    mass_v = sum(np.prod(np.where([(int(s) >> j) & 1 for j in range(5)],
+                                  phi_perp, 1.0 - phi_perp))
+                 for s in basis.states)
+    uniq, counts = np.unique(np.asarray(shots.shots), return_counts=True)
+    ll = 0.0
+    for z, c in zip(uniq, counts):
+        m = sum(p * mt.channel_likelihood(int(z), int(s), 5, ch)
+                for p, s in zip(phi_v, basis.states))
+        m += (1.0 - phi_v.sum()) * mt.background_likelihood_bruteforce(
+            int(z), phi_perp, basis, ch) / (1.0 - mass_v)
+        ll += c * np.log(m)
+    assert model.converged and model.out_of_subspace_mass > 0.1
+    assert len(model.log_likelihood) == model.iterations + 1
+    assert model.log_likelihood[-1] == pytest.approx(ll, rel=0, abs=1e-10)
 
 
 def test_objective_monotone():
@@ -208,7 +252,8 @@ def test_bootstrap_ci_draws_one_resample_per_row(n_shots, monkeypatch):
     shots = _shots_from_probs(basis, probs, n_shots, ch, seed=n_shots)
     model = mt.em_reconstruct(shots, basis, ch, max_iter=2)
     uniq, _ = mt._shot_histogram(shots, basis)
-    monkeypatch.setattr(mt, "_EM_BLOCK_ELEMENTS", 7 * 5 * len(uniq))
+    monkeypatch.setattr(mt, "_EM_BLOCK_ELEMENTS",
+                        7 * (len(uniq) + len(basis)))
     monkeypatch.setattr(mt, "_DRAW_ELEMENTS", 3 * n_shots)
     fitted = []
     em_fit = mt._em_fit
