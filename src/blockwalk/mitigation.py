@@ -106,7 +106,7 @@ def _design_tables(
     z: np.ndarray, subspace_states: np.ndarray, channel: ReadoutChannel,
     n_bits: int,
 ) -> tuple:
-    """The fixed inputs of `_bit_products` for shots z and the subspace.
+    """The fixed inputs of `_background` for shots z and the subspace.
 
     Returns (design (4N, U + |V|), offset (4,), slope (4,)).  Row j of a
     parameter's table is offset + phi_j slope = [P(read 1 | phi_j),
@@ -133,34 +133,28 @@ def _design_tables(
             np.array([p00 + p11 - 1.0, 1.0 - p00 - p11, 1.0, -1.0]))
 
 
-def _bit_products(phi_perp: np.ndarray, design: np.ndarray,
-                  offset: np.ndarray, slope: np.ndarray) -> tuple:
-    """Every per-bit product of R rows of `phi_perp` (R, N) as one GEMM.
+def _background(phi_perp: np.ndarray, tables: tuple,
+                L1: np.ndarray) -> tuple:
+    """(tables, log(table) @ design, unnormalized complement likelihoods
+    (R, U), Bernoulli mass on the subspace (R, 1)) of R rows of `phi_perp`.
 
-    Returns the rows' tables (R, N, 4), floored at PROB_FLOOR, and
-    log(table) @ design.  Through the `_design_tables` design the
-    exponential of a shot column is the full-space convolution
-    prod_j P(z_j | phi_j), and of a subspace-state column the Bernoulli
-    probability P_out(s_k) = prod_j phi_j^s_kj (1 - phi_j)^(1 - s_kj).
-    The floor keeps a zero factor from making 0 * log(0) = NaN in the
-    GEMM: the product it enters falls below PROB_FLOOR instead of to 0.
+    `tables` are the shots' `_design_tables`, `L1` their likelihood matrix
+    (|V|, U) with a ones column appended.  The exponential of the product
+    holds each shot's full-space convolution prod_j P(z_j | phi_j) and each
+    subspace state's P_out(s_k); subtracting the subspace terms
+    sum_k P_out(s_k) K(z|s_k) leaves the complement sum exactly, and the
+    ones column sums P_out over V.  The tables (R, N, 4) are floored at
+    PROB_FLOOR, which keeps 0 * log(0) = NaN out of the GEMM: a zero factor
+    sends its product below PROB_FLOOR instead of to 0.
     """
+    design, offset, slope = tables
     table = np.maximum(offset + phi_perp[:, :, None] * slope, PROB_FLOOR)
-    return table, np.log(table).reshape(len(table), -1) @ design
-
-
-def _background(prods: np.ndarray, L1: np.ndarray) -> tuple:
-    """(unnormalized complement likelihoods (R, U), Bernoulli mass on the
-    subspace (R, 1)) from the exponentiated `_bit_products`.
-
-    `L1` is the likelihood matrix (|V|, U) with a column of ones appended.
-    The full-space convolution factorizes per bit; subtracting the |V|
-    terms sum_k P_out(s_k) K(z|s_k) that belong to the subspace leaves the
-    complement sum exactly, and the ones column sums P_out over V.
-    """
+    logs = np.log(table).reshape(len(table), -1) @ design
+    prods = np.exp(logs)
     u = L1.shape[1] - 1
     sub = prods[:, u:u + len(L1)] @ L1
-    return np.maximum(prods[:, :u] - sub[:, :u], 0.0), sub[:, u:]
+    return (table, logs, np.maximum(prods[:, :u] - sub[:, :u], 0.0),
+            sub[:, u:])
 
 
 def _ones_column(a: np.ndarray) -> np.ndarray:
@@ -180,9 +174,10 @@ def _background_likelihood(
     Computed by the evaluation `_em_fit` runs; dividing by 1 - mass(V)
     normalizes the background into a proper component density.
     """
-    tables = _design_tables(z, subspace_states, channel, n_bits)
-    _, logs = _bit_products(np.asarray(phi_perp, float)[None, :], *tables)
-    l_perp, mass_v = _background(np.exp(logs), _ones_column(L_sub))
+    _, _, l_perp, mass_v = _background(
+        np.asarray(phi_perp, float)[None, :],
+        _design_tables(z, subspace_states, channel, n_bits),
+        _ones_column(L_sub))
     return l_perp[0], float(mass_v[0, 0])
 
 
@@ -239,7 +234,9 @@ def _em_fit(
     n_rows = counts.shape[0]
     # one more design column: the Beta penalty sum_j a log phi_j
     # + b log(1 - phi_j)
-    design = np.hstack([design, np.tile([0.0, 0.0, alpha, beta], n)[:, None]])
+    tables = (np.hstack([design,
+                         np.tile([0.0, 0.0, alpha, beta], n)[:, None]]),
+              offset, slope)
     L1 = _ones_column(L)
     LT = np.ascontiguousarray(L.T)
     # (U, 2N + 1): per bit, the shots that read 1 and those that read 0,
@@ -252,8 +249,7 @@ def _em_fit(
     total = w.sum(axis=1, keepdims=True)
 
     def _evaluate(w, theta):
-        table, logs = _bit_products(theta[:, n_v:], design, offset, slope)
-        l_perp, mass_v = _background(np.exp(logs), L1)
+        table, logs, l_perp, mass_v = _background(theta[:, n_v:], tables, L1)
         fit = theta[:, :n_v] @ L1             # sum_k phi_k L_ki, sum_k phi_k
         pi = np.maximum(1.0 - fit[:, u:], PROB_FLOOR)
         # the background component, pi B
