@@ -10,6 +10,14 @@ def _basis(n):
     return ss.enumerate_subspace(ss.ring_graph(n))
 
 
+def _mass_on_subspace(basis, phi_perp):
+    """sum over V of prod_j phi_j^s_j (1 - phi_j)^(1 - s_j), state by state."""
+    n = basis.n_bits
+    return sum(np.prod(np.where([(int(s) >> j) & 1 for j in range(n)],
+                                phi_perp, 1.0 - phi_perp))
+               for s in basis.states)
+
+
 def _shots_from_probs(basis, probs, n_shots, channel, seed):
     full = np.zeros(1 << basis.n_bits, dtype=complex)
     full[basis.states] = np.sqrt(probs)
@@ -80,10 +88,8 @@ def test_background_factorization_matches_bruteforce(p00, p11, phi0):
             assert 0.0 <= fast[i] <= 1e-15
         else:
             assert fast[i] == pytest.approx(slow, rel=1e-10, abs=1e-300)
-    assert mass_v == pytest.approx(
-        sum(np.prod(np.where([(int(s) >> j) & 1 for j in range(7)],
-                             phi_perp, 1.0 - phi_perp))
-            for s in basis.states), rel=1e-12)
+    assert mass_v == pytest.approx(_mass_on_subspace(basis, phi_perp),
+                                   rel=1e-12)
 
 
 def test_log_likelihood_matches_bruteforce_mixture():
@@ -98,9 +104,7 @@ def test_log_likelihood_matches_bruteforce_mixture():
     shots = ry.sample_shots(full, 5, 500, p00=ch.p00, p11=ch.p11, seed=2)
     model = mt.em_reconstruct(shots, basis, ch)
     phi_v, phi_perp = model.phi_v, model.phi_perp
-    mass_v = sum(np.prod(np.where([(int(s) >> j) & 1 for j in range(5)],
-                                  phi_perp, 1.0 - phi_perp))
-                 for s in basis.states)
+    mass_v = _mass_on_subspace(basis, phi_perp)
     uniq, counts = np.unique(np.asarray(shots.shots), return_counts=True)
     ll = 0.0
     for z, c in zip(uniq, counts):
