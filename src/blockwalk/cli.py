@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -124,13 +125,13 @@ def _within(value, limits: dict) -> bool:
 
 def _bounded(cast, bounds: dict):
     """argparse ``type=`` that casts a flag and checks it against JSON-schema
-    bounds; argparse reports a value outside them, or NaN, as a usage
-    error."""
+    bounds; argparse reports a value outside them, or a non-finite one, as a
+    usage error."""
     limits = _limits(bounds)
 
     def parse(text: str):
         value = cast(text)
-        if not _within(value, limits):
+        if not (math.isfinite(value) and _within(value, limits)):
             raise argparse.ArgumentTypeError(f"{text} is outside {limits}")
         return value
     return parse
@@ -207,11 +208,20 @@ def schedule_from_dict(d: dict) -> tuple:
     return n, target, sched
 
 
+def _finite(text: str) -> float:
+    """A JSON number that is finite: NaN, Infinity and overflowing literals
+    are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         raise ValidationFailure(f"cannot read JSON {path}: {exc}") from exc
 
 
@@ -272,8 +282,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_prep_product(args) -> int:
     n = args.ring
+    if (args.tau0 is None) != (args.tau1 is None):
+        raise ValidationFailure("--tau0 and --tau1 must be given together")
     target, z, basis, gen = _ring_problem(n, args.target)
-    if args.tau0 is not None and args.tau1 is not None:
+    if args.tau0 is not None:
         success = prep_product.evaluate_product(
             basis, gen, z, args.depth, args.tau0, args.tau1)
         tau0, tau1 = args.tau0, args.tau1
@@ -580,7 +592,8 @@ def run_config(raw: dict, out_dir: str, workers: int = 1,
     tasks = _instance_tasks(cfg)
     t0 = time.perf_counter()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at once; no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             futures = [pool.submit(_run_instance, t) for t in tasks]
             results = [_collect(f, t) for f, t in zip(futures, tasks)]
     else:
@@ -657,7 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     positive = _bounded(float, {"exclusiveMinimum": 0})
+    nonnegative = _bounded(float, {"minimum": 0})
     fidelity = {k: _bounded(float, v) for k, v in _CHANNEL_LIMITS.items()}
+    # flags that set a config field take its schema bounds
+    fields = CONFIG_SCHEMA["properties"]
+    scale = _bounded(float, fields["emulation"]["properties"]["scale"])
+    seed = _bounded(int, fields["seed"])
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
@@ -675,30 +693,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bitstring, or 'half' / 'mis'")
     p.add_argument("--depth", default=1, type=_bounded(
         int, {"minimum": 1, "maximum": prep_product.MAX_DEPTH}))
-    p.add_argument("--tau0", type=float, default=None,
+    p.add_argument("--tau0", type=nonnegative, default=None,
                    help="evaluate at fixed tau0 (with --tau1), no optimization")
-    p.add_argument("--tau1", type=float, default=None)
+    p.add_argument("--tau1", type=nonnegative, default=None)
     p.add_argument("--out", default=None)
 
     p = add("prep-bracelet", cmd_prep_bracelet,
             "plan an orbit-superposition schedule; writes schedule JSON")
     p.add_argument("--ring", type=int, required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--tau-max", type=float, default=20.0)
+    p.add_argument("--tau-max", type=nonnegative, default=20.0)
     p.add_argument("--dtau", type=positive, default=0.02)
     p.add_argument("--out", default=None)
 
     p = add("compile", cmd_compile,
             "compile a schedule JSON to an analog program JSON")
     p.add_argument("--schedule", required=True)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=scale, default=1.0)
     p.add_argument("--row-snap", action="store_true")
     p.add_argument("--out", default=None)
 
     p = add("emulate", cmd_emulate,
             "compile and emulate a schedule; optional shot sampling")
     p.add_argument("--schedule", required=True)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=scale, default=1.0)
     p.add_argument("--row-snap", action="store_true")
     p.add_argument("--shots", type=_bounded(int, {"minimum": 0}), default=0)
     p.add_argument("--shots-out", default=None)
@@ -706,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=mitigation.STANDARD_CHANNEL.p00)
     p.add_argument("--p11", type=fidelity["p11"],
                    default=mitigation.STANDARD_CHANNEL.p11)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", default=None)
 
     p = add("mitigate", cmd_mitigate,
@@ -718,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p11", type=fidelity["p11"], default=None)
     p.add_argument("--resamples", type=_bounded(int, {"minimum": 1}),
                    default=mitigation.DEFAULT_RESAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", default=None)
 
     p = add("analyze", cmd_analyze,
@@ -733,15 +751,15 @@ def build_parser() -> argparse.ArgumentParser:
             "coherent vs incoherent free-evolution traces (CSV)")
     p.add_argument("--ring", type=int, required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--tau-max", type=float, default=8.0)
+    p.add_argument("--tau-max", type=nonnegative, default=8.0)
     p.add_argument("--dtau", type=positive, default=0.02)
     p.add_argument("--out", default=None)
 
     p = add("run", cmd_run, "full pipeline from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--workers", type=_bounded(int, {"minimum": 1}), default=1)
+    p.add_argument("--seed", type=seed, default=None,
                    help="override the config seed")
 
     return ap

@@ -535,8 +535,12 @@ class AnsatzSchedule:
         return self.tau0 + sum(t for _, t in self.layers)
 
     def validate(self):
-        if self.tau0 < 0 or any(t < 0 for _, t in self.layers):
-            raise ValueError("walk times must be non-negative")
+        # comparisons with NaN are false, so NaN fails both checks
+        times = [self.tau0, *(t for _, t in self.layers)]
+        if not all(0 <= t < np.inf for t in times):
+            raise ValueError("walk times must be finite and non-negative")
+        if not all(abs(g) < np.inf for g, _ in self.layers):
+            raise ValueError("phases must be finite")
         if self.phasor_kind not in ("local", "hamming"):
             raise ValueError("unknown phasor kind %r" % self.phasor_kind)
 

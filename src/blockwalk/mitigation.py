@@ -6,14 +6,20 @@ asymmetric per-bit readout channel.  Expectation-maximization recovers the
 maximum-likelihood parameters; a nonparametric bootstrap gives confidence
 intervals on target probabilities.
 
-Every per-bit product the EM needs comes from one matrix product.  A row's
+The readout channel has one encoding: a per-bit table, and every per-bit
+product the EM needs comes from one matrix product of its logs.  A row's
 table holds, per bit j, [P(read 1 | phi_j), P(read 0 | phi_j), phi_j,
 1 - phi_j]; the logs of the tables of R rows, (R, 4N), times a fixed 0/1
 design matrix (4N, U + |V| + 1) give in one exponential the full-space
 convolution of each of the U distinct shots, the Bernoulli probability of
 each subspace state, and (without the exponential) the Beta penalty.  The
-design matrix depends only on the shots, the subspace and the prior, so it
-is built once per fit.
+likelihood matrix K(z|s) of the subspace states is the same product with
+each state's bits as the parameters.  The design matrix depends only on the
+shots, the subspace and the prior, so it is built once per fit.
+
+The EM's Beta prior, convergence threshold and iteration cap and the
+interval's level are the module constants PRIOR, EPS, MAX_ITER and LEVEL,
+read when a fit runs.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import json
 import numpy as np
 
 from .rydberg import ShotSet
-from .subspace import SubspaceBasis, bits_to_str, popcount_array
+from .subspace import SubspaceBasis, bits_to_str
 
 __all__ = [
     "ReadoutChannel",
@@ -40,8 +46,10 @@ __all__ = [
 
 PROB_FLOOR = 1e-300
 PARAM_CLIP = 1e-12
-DEFAULT_EPS = 1e-8
-DEFAULT_MAX_ITER = 10_000
+PRIOR = (1.0, 1.0)      # Beta(alpha, beta) prior on each phi_perp bit
+EPS = 1e-8              # convergence threshold of the EM
+MAX_ITER = 10_000
+LEVEL = 0.95            # of the bootstrap interval
 DEFAULT_RESAMPLES = 1000
 # rows x (distinct shots + subspace states), the largest `_em_fit`
 # temporary, per call of the bootstrap
@@ -81,32 +89,12 @@ def channel_likelihood(z: int, s: int, n_bits: int, channel: ReadoutChannel) -> 
     )
 
 
-def _likelihood_matrix(
-    z: np.ndarray, s: np.ndarray, n_bits: int, channel: ReadoutChannel
-) -> np.ndarray:
-    """L[k, i] = K(z_i | s_k), vectorized over bit-counting of masked overlaps."""
-    mask = np.uint64((1 << n_bits) - 1)
-    zz = z.astype(np.uint64)[None, :]
-    sk = s.astype(np.uint64)[:, None]
-    n11 = popcount_array(zz & sk)
-    n10 = popcount_array(sk & ~zz & mask)
-    n01 = popcount_array(zz & ~sk & mask)
-    n00 = n_bits - n11 - n10 - n01
-    with np.errstate(divide="ignore"):
-        logs = (
-            n00 * np.log(max(channel.p00, PROB_FLOOR))
-            + n01 * np.log(max(1.0 - channel.p00, PROB_FLOOR))
-            + n10 * np.log(max(1.0 - channel.p11, PROB_FLOOR))
-            + n11 * np.log(max(channel.p11, PROB_FLOOR))
-        )
-    return np.exp(logs)
-
-
 def _design_tables(
     z: np.ndarray, subspace_states: np.ndarray, channel: ReadoutChannel,
     n_bits: int,
 ) -> tuple:
-    """The fixed inputs of `_background` for shots z and the subspace.
+    """The per-bit tables of the readout channel for shots z and the
+    subspace.
 
     Returns (design (4N, U + |V|), offset (4,), slope (4,)).  Row j of a
     parameter's table is offset + phi_j slope = [P(read 1 | phi_j),
@@ -133,6 +121,19 @@ def _design_tables(
             np.array([p00 + p11 - 1.0, 1.0 - p00 - p11, 1.0, -1.0]))
 
 
+def _table_logs(phi: np.ndarray, design: np.ndarray, offset: np.ndarray,
+                slope: np.ndarray) -> tuple:
+    """(tables (R, N, 4), log(table) @ design) of R rows of per-bit
+    parameters `phi`.
+
+    The tables are floored at PROB_FLOOR, which keeps 0 * log(0) = NaN out
+    of the GEMM: a zero factor sends its product below PROB_FLOOR instead
+    of to 0.
+    """
+    table = np.maximum(offset + phi[:, :, None] * slope, PROB_FLOOR)
+    return table, np.log(table).reshape(len(table), -1) @ design
+
+
 def _background(phi_perp: np.ndarray, tables: tuple,
                 L1: np.ndarray) -> tuple:
     """(tables, log(table) @ design, unnormalized complement likelihoods
@@ -143,13 +144,9 @@ def _background(phi_perp: np.ndarray, tables: tuple,
     holds each shot's full-space convolution prod_j P(z_j | phi_j) and each
     subspace state's P_out(s_k); subtracting the subspace terms
     sum_k P_out(s_k) K(z|s_k) leaves the complement sum exactly, and the
-    ones column sums P_out over V.  The tables (R, N, 4) are floored at
-    PROB_FLOOR, which keeps 0 * log(0) = NaN out of the GEMM: a zero factor
-    sends its product below PROB_FLOOR instead of to 0.
+    ones column sums P_out over V.
     """
-    design, offset, slope = tables
-    table = np.maximum(offset + phi_perp[:, :, None] * slope, PROB_FLOOR)
-    logs = np.log(table).reshape(len(table), -1) @ design
+    table, logs = _table_logs(phi_perp, *tables)
     prods = np.exp(logs)
     u = L1.shape[1] - 1
     sub = prods[:, u:u + len(L1)] @ L1
@@ -161,24 +158,47 @@ def _ones_column(a: np.ndarray) -> np.ndarray:
     return np.hstack([a, np.ones((len(a), 1))])
 
 
+def _em_inputs(z: np.ndarray, basis: SubspaceBasis,
+               channel: ReadoutChannel) -> tuple:
+    """(likelihood matrix (|V|, U), `_design_tables`) of the shots z.
+
+    L[k, i] = K(z_i | s_k) is the shots' table product with the bits of
+    state s_k as the parameters; those bits are the design rows 4j + 2 of
+    the state's column.
+    """
+    tables = _design_tables(z, np.asarray(basis.states, dtype=np.uint64),
+                            channel, basis.n_bits)
+    design, offset, slope = tables
+    u = len(z)
+    _, logs = _table_logs(design[2::4, u:].T, design[:, :u], offset, slope)
+    return np.exp(logs), tables
+
+
 def _background_likelihood(
     z: np.ndarray,
     phi_perp: np.ndarray,
-    subspace_states: np.ndarray,
-    L_sub: np.ndarray,
+    basis: SubspaceBasis,
     channel: ReadoutChannel,
-    n_bits: int,
 ) -> tuple:
     """(unnormalized complement likelihoods, Bernoulli mass on the subspace).
 
-    Computed by the evaluation `_em_fit` runs; dividing by 1 - mass(V)
-    normalizes the background into a proper component density.
+    Computed with the inputs and the evaluation `_em_fit` runs; dividing by
+    1 - mass(V) normalizes the background into a proper component density.
     """
+    L, tables = _em_inputs(z, basis, channel)
     _, _, l_perp, mass_v = _background(
-        np.asarray(phi_perp, float)[None, :],
-        _design_tables(z, subspace_states, channel, n_bits),
-        _ones_column(L_sub))
+        np.asarray(phi_perp, float)[None, :], tables, _ones_column(L))
     return l_perp[0], float(mass_v[0, 0])
+
+
+def _target_indices(basis: SubspaceBasis,
+                    target: Union[int, Sequence[int]]) -> tuple:
+    """(target states as a tuple, their basis indices) of a target state or
+    sequence of states."""
+    states = ((target,) if isinstance(target, (int, np.integer))
+              else tuple(target))
+    return states, np.array([basis.index_of(int(t)) for t in states],
+                            dtype=int)
 
 
 @dataclass
@@ -187,9 +207,6 @@ class EMModel:
     channel: ReadoutChannel
     phi_v: np.ndarray               # (|V|,)
     phi_perp: np.ndarray            # (N,)
-    prior: tuple = (1.0, 1.0)
-    eps: float = DEFAULT_EPS        # convergence threshold of the fit
-    max_iter: int = DEFAULT_MAX_ITER
     log_likelihood: list = field(default_factory=list)
     objective: list = field(default_factory=list)   # likelihood + Beta penalty
     iterations: int = 0
@@ -200,18 +217,13 @@ class EMModel:
         return float(max(0.0, 1.0 - self.phi_v.sum()))
 
     def target_probability(self, target: Union[int, Sequence[int]]) -> float:
-        if isinstance(target, (int, np.integer)):
-            target = [int(target)]
-        return float(sum(self.phi_v[self.basis.index_of(t)] for t in target))
+        return float(self.phi_v[_target_indices(self.basis, target)[1]].sum())
 
 
 def _em_fit(
     counts: np.ndarray,
     L: np.ndarray,
     tables: tuple,
-    prior: tuple,
-    eps: float,
-    max_iter: int,
     record: bool = False,
 ) -> tuple:
     """Damped EM for R shot histograms over the same U distinct shots.
@@ -220,15 +232,15 @@ def _em_fit(
     (|V|, U) likelihood matrix and `tables` the `_design_tables` of the
     shots.  Every row runs the iteration of `em_reconstruct` on its own: its
     own step halving, convergence test and iteration count; the rows only
-    share numpy calls.  A row's parameters are one vector
-    [phi_v | phi_perp] of length |V| + N.  Returns (phi_v (R, |V|),
-    phi_perp (R, N), iterations (R,), converged (R,), traces), where traces
-    holds each row's (log-likelihood, objective) lists when `record` is set:
-    at the start and after every iteration, so the last entries are those of
-    the returned parameters.
+    share numpy calls.  It reads PRIOR, EPS and MAX_ITER when called.  A
+    row's parameters are one vector [phi_v | phi_perp] of length |V| + N.
+    Returns (phi_v (R, |V|), phi_perp (R, N), iterations (R,), converged
+    (R,), traces), where traces holds each row's (log-likelihood, objective)
+    lists when `record` is set: at the start and after every iteration, so
+    the last entries are those of the returned parameters.
     """
     design, offset, slope = tables
-    alpha, beta = prior
+    alpha, beta = PRIOR
     n_v, u = L.shape
     n = len(design) // 4
     n_rows = counts.shape[0]
@@ -276,7 +288,7 @@ def _em_fit(
     if record:
         _record(*state[:2])
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         _, obj, m, bg, table = state
         # responsibilities rho_ki = phi_k L_ki / m_i, summed over shots
         ratio = w / m
@@ -314,7 +326,7 @@ def _em_fit(
                 if len(pending) == 0:
                     break
             stuck = pending
-        done = np.abs(cand - theta) @ scale < eps
+        done = np.abs(cand - theta) @ scale < EPS
         # a row with no improving direction is at a stationary point
         if stuck is not None:
             done[stuck] = True
@@ -339,30 +351,20 @@ def _em_fit(
 
 
 def _shot_histogram(shots: ShotSet, basis: SubspaceBasis) -> tuple:
-    """(distinct shots ascending, their counts) after validating the shots."""
+    """(distinct shots ascending, each shot's index among them, their
+    counts) after validating the shots."""
     if len(shots) == 0:
         raise ValueError("no shots")
     if shots.n_bits != basis.n_bits:
         raise ValueError("shot width does not match basis")
     return np.unique(np.asarray(shots.shots, dtype=np.uint64),
-                     return_counts=True)
-
-
-def _em_inputs(uniq: np.ndarray, basis: SubspaceBasis,
-               channel: ReadoutChannel) -> tuple:
-    """(likelihood matrix (|V|, U), `_design_tables`) of the distinct shots."""
-    states = np.asarray(basis.states, dtype=np.uint64)
-    return (_likelihood_matrix(uniq, states, basis.n_bits, channel),
-            _design_tables(uniq, states, channel, basis.n_bits))
+                     return_inverse=True, return_counts=True)
 
 
 def em_reconstruct(
     shots: ShotSet,
     basis: SubspaceBasis,
     channel: ReadoutChannel,
-    prior: tuple = (1.0, 1.0),
-    eps: float = DEFAULT_EPS,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> EMModel:
     """Expectation-maximization over subspace weights + Bernoulli background.
 
@@ -375,13 +377,12 @@ def em_reconstruct(
     decrease.  `objective` is therefore non-decreasing by construction; the
     raw likelihood trace can still dip by the penalty's pull toward 1/2.
     """
-    uniq, counts = _shot_histogram(shots, basis)
+    uniq, _, counts = _shot_histogram(shots, basis)
     L, tables = _em_inputs(uniq, basis, channel)
     phi_v, phi_perp, its, conv, traces = _em_fit(
-        counts[None, :], L, tables, prior, eps, max_iter, record=True)
+        counts[None, :], L, tables, record=True)
     return EMModel(
         basis=basis, channel=channel, phi_v=phi_v[0], phi_perp=phi_perp[0],
-        prior=prior, eps=eps, max_iter=max_iter,
         log_likelihood=traces[0][0], objective=traces[0][1],
         iterations=int(its[0]), converged=bool(conv[0]),
     )
@@ -427,22 +428,19 @@ def bootstrap_ci(
     model: EMModel,
     target: Union[int, Sequence[int]],
     resamples: int = DEFAULT_RESAMPLES,
-    level: float = 0.95,
     seed: Optional[int] = None,
 ) -> ReconstructionResult:
     """Percentile bootstrap over with-replacement shot resamples.
 
     ``model`` is the `em_reconstruct` fit of ``shots``: it gives the point
-    estimate, and each resample is fitted with its basis, channel, prior,
-    ``eps`` and ``max_iter``.  The result also carries each resample's EM
-    iteration count and convergence flag.
+    estimate, and each resample is fitted with its basis and channel.  The
+    interval covers LEVEL of the resample estimates.  The result also
+    carries each resample's EM iteration count and convergence flag.
     """
     rng = np.random.default_rng(seed)
     basis, channel = model.basis, model.channel
     point = model.target_probability(target)
-    uniq, _ = _shot_histogram(shots, basis)
-    # each shot's index among the distinct shots
-    inverse = np.searchsorted(uniq, np.asarray(shots.shots, dtype=np.uint64))
+    uniq, inverse, _ = _shot_histogram(shots, basis)
     n, u = len(inverse), len(uniq)
     L, tables = _em_inputs(uniq, basis, channel)
     # a resample is a histogram over the same distinct shots, so all of them
@@ -460,13 +458,12 @@ def bootstrap_ci(
             drawn += u * np.arange(rows)[:, None]
             hist[j:j + rows] = np.bincount(
                 drawn.ravel(), minlength=rows * u).reshape(rows, u)
-        fits.append(_em_fit(hist, L, tables, model.prior, model.eps,
-                            model.max_iter))
+        fits.append(_em_fit(hist, L, tables))
     phi_v, its, conv = (np.concatenate([f[k] for f in fits])
                         for k in (0, 2, 3))
-    tgt = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
-    estimates = sum(phi_v[:, basis.index_of(t)] for t in tgt)
-    tail = (1.0 - level) / 2.0
+    tgt, idx = _target_indices(basis, target)
+    estimates = phi_v[:, idx].sum(axis=1)
+    tail = (1.0 - LEVEL) / 2.0
     low = float(np.quantile(estimates, tail))
     high = float(np.quantile(estimates, 1.0 - tail))
     # percentile intervals from finite resamples may not bracket the full-data
@@ -483,11 +480,10 @@ def reconstruct_with_ci(
     channel: ReadoutChannel,
     target: Union[int, Sequence[int]],
     resamples: int = DEFAULT_RESAMPLES,
-    level: float = 0.95,
     seed: Optional[int] = None,
 ) -> ReconstructionResult:
     model = em_reconstruct(shots, basis, channel)
-    return bootstrap_ci(shots, model, target, resamples, level, seed)
+    return bootstrap_ci(shots, model, target, resamples, seed)
 
 
 def result_to_json(result: ReconstructionResult) -> str:

@@ -34,7 +34,6 @@ __all__ = [
     "RydbergProgram",
     "ShotSet",
     "ring_eta",
-    "compute_eta",
     "ring_layout",
     "synthesize_walk_pulse",
     "synthesize_local_pulse",
@@ -47,9 +46,6 @@ __all__ = [
     "program_to_json",
 ]
 
-# documented reference constants for non-ring geometries
-CHAIN_N_B, CHAIN_N_U = 2.0, 2.220
-KINGS_N_B, KINGS_N_U = 2.25, 7.791
 MAX_EMULATED_ATOMS = kernels.MAX_DRIVE_ATOMS  # dense 2^n state vector
 
 
@@ -100,35 +96,6 @@ def ring_eta(n: int) -> tuple[float, float]:
         n_u += mult * (2.0 * d(1) / d(k)) ** 12
     eta = (n_b / (4.0 * n_u)) ** (1.0 / 24.0)
     return eta, n_u
-
-
-def compute_eta(
-    kind: str = "ring",
-    n: Optional[int] = None,
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> tuple[float, float]:
-    """(eta, ||H_err||/N) for a supported geometry.
-
-    ``ring`` computes the finite-ring sums; ``chain`` and ``kings`` use the
-    documented reference edge counts.  The error norm uses the minimized form
-    sqrt(n_b*n_u) * Omega^2 * (r_max/r_min)^6.
-    """
-    if kind == "ring":
-        if n is None:
-            raise ValueError("ring eta needs n")
-        eta, n_u = ring_eta(n)
-        n_b = 2.0
-        ratio = np.sin(np.pi / n) / np.sin(2.0 * np.pi / n)
-    elif kind == "chain":
-        n_b, n_u, ratio = CHAIN_N_B, CHAIN_N_U, 0.5
-        eta = (n_b / (4.0 * n_u)) ** (1.0 / 24.0)
-    elif kind == "kings":
-        n_b, n_u, ratio = KINGS_N_B, KINGS_N_U, 1.0 / np.sqrt(2.0)
-        eta = (n_b / (4.0 * n_u)) ** (1.0 / 24.0)
-    else:
-        raise ValueError(f"unknown geometry kind {kind!r}")
-    err = np.sqrt(n_b * n_u) * constants.omega_max**2 * ratio**6
-    return float(eta), float(err)
 
 
 def ring_layout(

@@ -318,9 +318,7 @@ def test_criterion_7_em_pipeline():
         rng = np.random.default_rng(n)
         phi_perp = rng.uniform(0.05, 0.6, size=n)
         zs = rng.integers(0, 1 << n, size=25, dtype=np.uint64)
-        L_sub = mt._likelihood_matrix(zs, b.states, n, ch)
-        fast, _ = mt._background_likelihood(zs, phi_perp, b.states,
-                                            L_sub, ch, n)
+        fast, _ = mt._background_likelihood(zs, phi_perp, b, ch)
         for i, zz in enumerate(zs):
             slow = mt.background_likelihood_bruteforce(int(zz), phi_perp,
                                                        b, ch)

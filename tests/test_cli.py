@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,11 @@ def test_schedule_file_rejects_bad_ring_or_target(tmp_path, command, ring,
     {"layers": [[3.14]]},
     {"layers": 5},
     {"phasor": "foo"},
-], ids=["ring", "tau0", "negative-tau0", "short-layer", "layers", "phasor"])
+    {"tau0": float("nan")},          # written as the JSON literal NaN
+    {"tau0": "nan"},
+    {"layers": [["inf", 0.5]]},
+], ids=["ring", "tau0", "negative-tau0", "short-layer", "layers", "phasor",
+        "nan-literal", "nan-tau0", "inf-phase"])
 def test_schedule_file_rejects_bad_fields(tmp_path, field):
     sched = _make_schedule(tmp_path)
     body = json.loads(sched.read_text())
@@ -146,9 +151,15 @@ def test_emulate_shots_require_outfile(tmp_path):
 
 
 def _bounds_case_args(tmp_path, command):
+    if command == "compile":
+        return ["--schedule", str(_make_schedule(tmp_path))]
     if command == "emulate":
         return ["--schedule", str(_make_schedule(tmp_path)),
                 "--shots-out", str(tmp_path / "shots.txt")]
+    if command == "run":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CONFIG))
+        return ["--config", str(cfg)]
     if command == "mitigate":
         shots = tmp_path / "in.txt"
         shots.write_text("# n=5 shots=2 p00=0.99 p11=0.93 seed=1\n"
@@ -168,9 +179,22 @@ def _bounds_case_args(tmp_path, command):
     ("mitigate", ["--p11", "1.2"]),
     ("mitigate", ["--resamples", "0"]),
     ("emulate", ["--max-step", "0.001"]),   # the step is rydberg.MAX_STEP
+    ("compile", ["--scale", "-1"]),
+    ("emulate", ["--scale", "0"]),
+    ("compile", ["--scale", "inf"]),
+    ("emulate", ["--seed", "-1"]),
+    ("mitigate", ["--seed", "-1"]),
+    ("run", ["--seed", "-1"]),
+    ("run", ["--workers", "0"]),
+    ("prep-product", ["--tau0", "-1", "--tau1", "0.5"]),
+    ("prep-product", ["--tau0", "0.5"]),    # --tau0 needs --tau1
+    ("prep-bracelet", ["--tau-max", "nan"]),
+    ("quench", ["--tau-max", "-1"]),
 ], ids=["depth", "bracelet-dtau", "quench-dtau", "shots", "emulate-p00",
         "emulate-p11", "mitigate-p00", "mitigate-p11", "resamples",
-        "max-step"])
+        "max-step", "compile-scale", "emulate-scale", "scale-inf",
+        "emulate-seed", "mitigate-seed", "run-seed", "workers", "tau0",
+        "tau0-alone", "bracelet-tau-max", "quench-tau-max"])
 def test_bad_flag_exits_one(tmp_path, command, flags):
     # flags are checked like config fields: exit 1 and no output written
     args = _bounds_case_args(tmp_path, command)
@@ -608,6 +632,45 @@ def test_run_config_rejects_bad_target_before_running(tmp_path, rings,
                                                       targets):
     # every (ring, target) pair is checked before any instance runs
     assert _run_rejected(tmp_path, rings=rings, targets=targets) == (1, False)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"backends": ["ctqw", "rydberg"], "emulation": {"scale": float("nan")}},
+    {"backends": ["ctqw", "rydberg"], "emulation": {"scale": float("inf")}},
+    {"backends": ["ctqw", "shots"], "channel": {"p00": float("nan")}},
+], ids=["nan-scale", "inf-scale", "nan-p00"])
+def test_run_config_rejects_non_finite_numbers(tmp_path, overrides):
+    # json.dumps writes the literals NaN and Infinity, which a config may
+    # not hold: exit 1 before any instance runs
+    assert _run_rejected(tmp_path, **overrides) == (1, False)
+
+
+@pytest.mark.parametrize("workers,size", [(2, 2), (64, 3)])
+def test_run_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch,
+                                                 workers, size):
+    # the pool starts all its workers at once, so it is sized to the tasks;
+    # a stub pool records the size and runs the tasks in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    manifest = cli.run_config(CONFIG, str(tmp_path / "o"), workers=workers)
+    assert sizes == [size]
+    assert manifest["failed_instances"] == 0
 
 
 def test_run_config_rejects_emulation_max_step(tmp_path):

@@ -79,9 +79,7 @@ def test_background_factorization_matches_bruteforce(p00, p11, phi0):
     if phi0 is not None:
         phi_perp[0] = phi0
     zs = rng.integers(0, 1 << 7, size=40, dtype=np.uint64)
-    L_sub = mt._likelihood_matrix(zs, basis.states, 7, ch)
-    fast, mass_v = mt._background_likelihood(zs, phi_perp, basis.states,
-                                             L_sub, ch, 7)
+    fast, mass_v = mt._background_likelihood(zs, phi_perp, basis, ch)
     for i, z in enumerate(zs):
         slow = mt.background_likelihood_bruteforce(int(z), phi_perp, basis, ch)
         if slow == 0.0:
@@ -90,6 +88,27 @@ def test_background_factorization_matches_bruteforce(p00, p11, phi0):
             assert fast[i] == pytest.approx(slow, rel=1e-10, abs=1e-300)
     assert mass_v == pytest.approx(_mass_on_subspace(basis, phi_perp),
                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("p00,p11", [(0.99, 0.93), (1.0, 0.93), (0.99, 1.0)],
+                         ids=["standard", "p00-one", "p11-one"])
+def test_likelihood_matrix_matches_channel_likelihood(n, p00, p11):
+    # the EM's likelihood matrix is its table product at the subspace
+    # states; a perfect channel puts zeros in the tables, whose floored logs
+    # must leave products at most PROB_FLOOR, not NaN
+    basis = _basis(n)
+    ch = mt.ReadoutChannel(p00=p00, p11=p11)
+    zs = np.arange(1 << n, dtype=np.uint64)
+    L, _ = mt._em_inputs(zs, basis, ch)
+    assert L.shape == (len(basis), len(zs)) and np.isfinite(L).all()
+    for k, s in enumerate(basis.states):
+        for i, z in enumerate(zs):
+            ref = mt.channel_likelihood(int(z), int(s), n, ch)
+            if ref == 0.0:
+                assert 0.0 <= L[k, i] <= 2 * mt.PROB_FLOOR
+            else:
+                assert L[k, i] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_log_likelihood_matches_bruteforce_mixture():
@@ -131,7 +150,7 @@ def test_objective_monotone():
         assert model.converged
 
 
-def test_batched_fit_matches_one_fit_per_resample():
+def test_batched_fit_matches_one_fit_per_resample(monkeypatch):
     # bootstrap_ci fits all resamples as rows of one _em_fit call; each row
     # must follow em_reconstruct on that resample alone: same iteration
     # count, convergence flag, objective trace and parameters
@@ -142,19 +161,19 @@ def test_batched_fit_matches_one_fit_per_resample():
     full /= np.linalg.norm(full)
     shots = ry.sample_shots(full, 6, 400, p00=ch.p00, p11=ch.p11, seed=8)
     arr = np.asarray(shots.shots, dtype=np.uint64)
-    uniq, _ = mt._shot_histogram(shots, basis)
+    uniq, _, _ = mt._shot_histogram(shots, basis)
     L, tables = mt._em_inputs(uniq, basis, ch)
     samples = [rng.choice(arr, size=len(arr), replace=True) for _ in range(12)]
     hist = np.stack([np.bincount(np.searchsorted(uniq, s),
                                  minlength=len(uniq)) for s in samples])
-    for max_iter in (mt.DEFAULT_MAX_ITER, 5):
-        phi_v, phi_perp, its, conv, traces = mt._em_fit(
-            hist, L, tables, (1.0, 1.0), mt.DEFAULT_EPS, max_iter,
-            record=True)
+    for max_iter in (mt.MAX_ITER, 5):
+        monkeypatch.setattr(mt, "MAX_ITER", max_iter)
+        phi_v, phi_perp, its, conv, traces = mt._em_fit(hist, L, tables,
+                                                        record=True)
         for r, sample in enumerate(samples):
             one = mt.em_reconstruct(
                 ry.ShotSet(n_bits=6, shots=sample, p00=ch.p00, p11=ch.p11,
-                           seed=None), basis, ch, max_iter=max_iter)
+                           seed=None), basis, ch)
             assert its[r] == one.iterations
             assert conv[r] == one.converged
             assert np.allclose(phi_v[r], one.phi_v, rtol=0, atol=1e-8)
@@ -213,18 +232,16 @@ def test_reconstruct_with_ci_fits_full_data_once(monkeypatch):
 
 
 def test_bootstrap_ci_fits_resamples_with_model_settings():
-    # each resample is fitted with the full-data model's prior, eps and
-    # max_iter, so the interval matches em_reconstruct on the same draws
+    # each resample is fitted with the full-data model's basis and channel,
+    # so the interval matches em_reconstruct on the same draws
     basis = _basis(5)
     ch = mt.ReadoutChannel(0.95, 0.9)
     z = ss.str_to_bits("00101")
     probs = np.full(len(basis), 0.4 / (len(basis) - 1))
     probs[basis.index_of(z)] = 0.6
     shots = _shots_from_probs(basis, probs, 300, ch, seed=2)
-    settings = dict(prior=(2.0, 3.0), eps=1e-4, max_iter=5)
-    model = mt.em_reconstruct(shots, basis, ch, **settings)
-    assert (model.prior, model.eps, model.max_iter) == ((2.0, 3.0), 1e-4, 5)
-    res = mt.bootstrap_ci(shots, model, z, resamples=20, level=0.8, seed=7)
+    model = mt.em_reconstruct(shots, basis, ch)
+    res = mt.bootstrap_ci(shots, model, z, resamples=20, seed=7)
     low, point, high = res.ci_low, res.point, res.ci_high
     rng = np.random.default_rng(7)
     arr = np.asarray(shots.shots, dtype=np.uint64)
@@ -232,16 +249,16 @@ def test_bootstrap_ci_fits_resamples_with_model_settings():
         mt.em_reconstruct(
             ry.ShotSet(n_bits=5, shots=rng.choice(arr, size=len(arr)),
                        p00=ch.p00, p11=ch.p11, seed=None),
-            basis, ch, **settings)
+            basis, ch)
         for _ in range(20)]
     estimates = [fit.target_probability(z) for fit in fits]
     # the result carries each resample's iteration count and convergence
     assert res.bootstrap_iterations.tolist() == [f.iterations for f in fits]
     assert res.bootstrap_converged.tolist() == [f.converged for f in fits]
     assert point == model.target_probability(z)
-    assert low == pytest.approx(min(np.quantile(estimates, 0.1), point),
+    assert low == pytest.approx(min(np.quantile(estimates, 0.025), point),
                                 abs=1e-10)
-    assert high == pytest.approx(max(np.quantile(estimates, 0.9), point),
+    assert high == pytest.approx(max(np.quantile(estimates, 0.975), point),
                                  abs=1e-10)
 
 
@@ -254,8 +271,9 @@ def test_bootstrap_ci_draws_one_resample_per_row(n_shots, monkeypatch):
     ch = mt.STANDARD_CHANNEL
     probs = np.full(len(basis), 1.0 / len(basis))
     shots = _shots_from_probs(basis, probs, n_shots, ch, seed=n_shots)
-    model = mt.em_reconstruct(shots, basis, ch, max_iter=2)
-    uniq, _ = mt._shot_histogram(shots, basis)
+    monkeypatch.setattr(mt, "MAX_ITER", 2)
+    model = mt.em_reconstruct(shots, basis, ch)
+    uniq, _, _ = mt._shot_histogram(shots, basis)
     monkeypatch.setattr(mt, "_EM_BLOCK_ELEMENTS",
                         7 * (len(uniq) + len(basis)))
     monkeypatch.setattr(mt, "_DRAW_ELEMENTS", 3 * n_shots)

@@ -116,11 +116,6 @@ def test_ring_eta_values(n, eta):
     assert got == pytest.approx(eta, abs=0.002)
 
 
-def test_chain_eta_documented_constant():
-    eta, _ = ry.compute_eta(kind="chain")
-    assert eta == pytest.approx(0.939, abs=0.001)
-
-
 def test_dynamic_radius():
     assert C.dynamic_radius(C.omega_max) == pytest.approx(8.367, abs=0.001)
 
