@@ -36,6 +36,8 @@ EXIT_RUNTIME = 2
 
 SCHEDULE_SCHEMA_VERSION = 1
 CONFIG_SCHEMA_VERSION = 1
+# walk-time grid points of `quench` and `prep-bracelet`
+MAX_TAU_POINTS = 100_000
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -149,6 +151,27 @@ def _check_ring(n: int) -> None:
             f"ring must have 3 to {subspace.MAX_VERTICES} sites, got {n}")
 
 
+def _check_phases(n: int, values) -> None:
+    """Refuse walk times and phase angles whose phases on the n-ring are
+    not finite: a walk phase is tau times an eigenvalue of the generator,
+    whose norm is at most n, and a phasor's entries are at most n."""
+    _check_ring(n)
+    for value in values:
+        if not math.isfinite(value * n):
+            raise ValidationFailure(
+                f"{value} gives non-finite phases on the {n}-ring")
+
+
+def _check_tau_grid(n: int, tau_max: float, dtau: float) -> None:
+    """Refuse a walk-time grid 0, dtau, ... tau_max of more than
+    MAX_TAU_POINTS points or with non-finite phases, before it is built."""
+    if tau_max / dtau + 1 > MAX_TAU_POINTS:
+        raise ValidationFailure(
+            f"--tau-max {tau_max} at --dtau {dtau} is more than "
+            f"{MAX_TAU_POINTS} walk times")
+    _check_phases(n, [tau_max])
+
+
 def resolve_target(n: int, spec: str) -> str:
     """Turn 'half' / 'mis' / literal bitstring into an n-bit target string."""
     if spec == "half":
@@ -205,6 +228,7 @@ def schedule_from_dict(d: dict) -> tuple:
         sched.validate()
     except ValueError as exc:
         raise ValidationFailure(f"bad schedule: {exc}") from exc
+    _check_phases(n, [tau0, *(v for layer in layers for v in layer)])
     return n, target, sched
 
 
@@ -284,6 +308,8 @@ def cmd_prep_product(args) -> int:
     n = args.ring
     if (args.tau0 is None) != (args.tau1 is None):
         raise ValidationFailure("--tau0 and --tau1 must be given together")
+    if args.tau0 is not None:
+        _check_phases(n, [args.tau0, args.tau1])
     target, z, basis, gen = _ring_problem(n, args.target)
     if args.tau0 is not None:
         success = prep_product.evaluate_product(
@@ -300,6 +326,7 @@ def cmd_prep_product(args) -> int:
 
 def cmd_prep_bracelet(args) -> int:
     n = args.ring
+    _check_tau_grid(n, args.tau_max, args.dtau)
     target, z, _, gen = _ring_problem(n, args.target)
     orbit = subspace.dihedral_orbit(z, n)
     plan = prep_bracelet.prepare_bracelet(
@@ -395,6 +422,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_quench(args) -> int:
     n = args.ring
+    _check_tau_grid(n, args.tau_max, args.dtau)
     _, z, basis, gen = _ring_problem(n, args.target)
     orbit = subspace.dihedral_orbit(z, n)
     taus = np.arange(0.0, args.tau_max + 0.5 * args.dtau, args.dtau)
@@ -521,7 +549,9 @@ def _run_instance(task: dict) -> dict:
                            em_bootstrap_iterations_max=int(
                                rec.bootstrap_iterations.max()),
                            em_bootstrap_converged_fraction=float(
-                               rec.bootstrap_converged.mean()))
+                               rec.bootstrap_converged.mean()),
+                           em_bootstrap_rank_stopped_fraction=float(
+                               rec.bootstrap_rank_stopped.mean()))
     except Exception as exc:  # isolate per-instance failures
         out["error"] = f"{type(exc).__name__}: {exc}"
     out["runtime_s"] = round(time.perf_counter() - t_start, 3)
@@ -563,7 +593,9 @@ _MANIFEST_KEYS = ("ring", "target_spec", "depth", "runtime_s", "stage_s",
                   "emulation_fidelity", "warnings", "em_iterations",
                   "em_converged", "em_bootstrap_iterations_median",
                   "em_bootstrap_iterations_max",
-                  "em_bootstrap_converged_fraction", "error", "failed_stage")
+                  "em_bootstrap_converged_fraction",
+                  "em_bootstrap_rank_stopped_fraction", "error",
+                  "failed_stage")
 _EXTRA_COLS = ("emulation_success", "leakage", "em_estimate", "em_ci_low",
                "em_ci_high")
 

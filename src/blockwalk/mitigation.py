@@ -20,6 +20,15 @@ shots, the subspace and the prior, so it is built once per fit.
 The EM's Beta prior, convergence threshold and iteration cap and the
 interval's level are the module constants PRIOR, EPS, MAX_ITER and LEVEL,
 read when a fit runs.
+
+The percentile interval reads only the two order statistics of the
+resample estimates that np.quantile interpolates at each end.  So the
+bootstrap also stops a resample's fit once its estimate, widened by a bound
+B on its remaining movement, cannot take a rank the quantiles read.  B is
+taken from the contraction the fit's steps show over the last few checks.
+Order statistics are 1-Lipschitz in the sup norm, so a B that fails moves
+the interval by at most that fit's remaining movement; when every B holds
+the interval is the one of fits run to the EM's own stop.
 """
 
 from __future__ import annotations
@@ -56,6 +65,11 @@ DEFAULT_RESAMPLES = 1000
 _EM_BLOCK_ELEMENTS = 1 << 19
 # rows x shots per resample draw of the bootstrap
 _DRAW_ELEMENTS = 1 << 15
+# the bootstrap's rank stop: iterations between checks, checks a bound
+# reads, and the safety factor of the bound
+_RANK_CHECK = 8
+_RANK_HISTORY = 4
+_RANK_SAFETY = 10.0
 
 
 @dataclass(frozen=True)
@@ -220,10 +234,52 @@ class EMModel:
         return float(self.phi_v[_target_indices(self.basis, target)[1]].sum())
 
 
+@dataclass
+class _RankStop:
+    """The bootstrap's R target estimates, as far as its rank stop knows
+    them.
+
+    The interval reads the order statistics at positions a, a + 1 and
+    b, b + 1 (ascending, from 0) of the estimates.  Each resample's final
+    estimate, and the one a fit run to the EM's own stop would reach, lie in
+    [low, high]: (-inf, inf) before its fit, a point once the EM's stop
+    ends it, and otherwise e -+ B from its last check.  The rows whose
+    intervals lie wholly below and wholly above a row's bound its rank; a
+    rank range that holds none of the four positions is read by neither
+    bound of the interval.
+    """
+
+    idx: np.ndarray          # basis indices of the target states
+    a: int
+    b: int
+    low: np.ndarray          # (R,)
+    high: np.ndarray         # (R,)
+    stopped: np.ndarray      # (R,) whether the rank stop ended the fit
+
+    @classmethod
+    def reading(cls, idx: np.ndarray, resamples: int,
+                quantiles: tuple) -> "_RankStop":
+        """The rank stop of `resamples` estimates summed over `idx`, for
+        the positions np.quantile reads at the two `quantiles`."""
+        a, b = np.floor(np.quantile(np.arange(resamples), quantiles))
+        return cls(idx, int(a), int(b),
+                   np.full(resamples, -np.inf), np.full(resamples, np.inf),
+                   np.zeros(resamples, dtype=bool))
+
+    def unread(self, rows: np.ndarray) -> np.ndarray:
+        """Whether the interval reads none of the ranks each of `rows` can
+        take."""
+        lo = np.searchsorted(np.sort(self.high), self.low[rows], "left")
+        hi = np.searchsorted(np.sort(self.low), self.high[rows], "right") - 1
+        return ((hi < self.a) | ((lo > self.a + 1) & (hi < self.b))
+                | (lo > self.b + 1))
+
+
 def _em_fit(
     counts: np.ndarray,
     L: np.ndarray,
     tables: tuple,
+    rank: Optional[tuple] = None,
     record: bool = False,
 ) -> tuple:
     """Damped EM for R shot histograms over the same U distinct shots.
@@ -234,10 +290,21 @@ def _em_fit(
     own step halving, convergence test and iteration count; the rows only
     share numpy calls.  It reads PRIOR, EPS and MAX_ITER when called.  A
     row's parameters are one vector [phi_v | phi_perp] of length |V| + N.
+
+    `rank` = (stop, first), a `_RankStop` and its row of counts' row 0,
+    adds the bootstrap's rank stop to the EM's own.  Every _RANK_CHECK
+    iterations, d is the distance a row moved since the last check in the
+    step norm of the EM's stop, which bounds the move of its target estimate
+    e.  With r the largest ratio of successive distances over the last
+    _RANK_HISTORY checks, B = _RANK_SAFETY d r / (1 - r) bounds e's
+    remaining movement (infinite unless r < 1); a row whose e -+ B the stop
+    finds `unread` ends there.
+
     Returns (phi_v (R, |V|), phi_perp (R, N), iterations (R,), converged
-    (R,), traces), where traces holds each row's (log-likelihood, objective)
-    lists when `record` is set: at the start and after every iteration, so
-    the last entries are those of the returned parameters.
+    (R,), traces): converged is whether the EM's own stop ended the row,
+    and traces holds each row's (log-likelihood, objective) lists when
+    `record` is set: at the start and after every iteration, so the last
+    entries are those of the returned parameters.
     """
     design, offset, slope = tables
     alpha, beta = PRIOR
@@ -275,6 +342,9 @@ def _em_fit(
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     traces = [([], []) for _ in range(n_rows)] if record else None
+    # the halving ladder's trial rows per evaluation
+    ladder_rows = max(1, _EM_BLOCK_ELEMENTS // (u + n_v))
+    halvings = 0.5 ** np.arange(1, 40)
 
     def _record(ll, obj):
         for k, r in enumerate(live):
@@ -287,6 +357,12 @@ def _em_fit(
     state = _evaluate(w, theta)
     if record:
         _record(*state[:2])
+    if rank is not None:
+        stop, first = rank
+        # each live row's distance moved, in the stop's step norm, since
+        # the last check and over each of the last _RANK_HISTORY checks
+        path = np.zeros(n_rows)
+        moves = np.full((_RANK_HISTORY, n_rows), np.nan)
     it = 0
     for it in range(1, MAX_ITER + 1):
         _, obj, m, bg, table = state
@@ -300,39 +376,65 @@ def _em_fit(
             / (sums[:, -1:] + (alpha + beta))
         new = np.maximum(np.concatenate([new_v, new_p], axis=1), PARAM_CLIP)
         step = np.minimum(new, 1.0 - PARAM_CLIP) - theta
-        # damped acceptance: halve a row's step until its objective is not
-        # reduced (the complement renormalization spoils the exact M-step);
-        # rows that never accept keep their parameters
+        # damped acceptance: a row takes the first of the steps 2^-k step,
+        # k = 0 ... 39, that does not reduce its objective (the complement
+        # renormalization spoils the exact M-step); the multiples of the
+        # rows that reject the full step are evaluated together, a ladder
+        # chunk at a time
         floor = obj - 1e-12
-        trial = theta + step
-        ev = _evaluate(w, trial)
-        ok = ev[1] >= floor
-        cand, cand_state = trial, ev
-        stuck = None
+        cand = theta + step
+        cand_state = _evaluate(w, cand)
+        ok = cand_state[1] >= floor
         if np.count_nonzero(ok) < len(ok):
-            cand, cand_state = theta.copy(), [x.copy() for x in state]
-            pending, lam = np.arange(len(live)), 1.0
-            for k in range(40):
-                if k:
-                    lam *= 0.5
-                    trial = theta[pending] + lam * step[pending]
-                    ev = _evaluate(w[pending], trial)
-                    ok = ev[1] >= floor[pending]
-                got = pending[ok]
-                cand[got] = trial[ok]
-                for x, y in zip(cand_state, ev):
-                    x[got] = y[ok]
-                pending = pending[~ok]
-                if len(pending) == 0:
+            pending, k0 = np.flatnonzero(~ok), 0
+            while len(pending):
+                if k0 == len(halvings):
+                    # no multiple improves: the rows are at a stationary
+                    # point, keep their parameters and so meet the stop
+                    cand[pending] = theta[pending]
+                    for x, y in zip(cand_state, state):
+                        x[pending] = y[pending]
                     break
-            stuck = pending
-        done = np.abs(cand - theta) @ scale < EPS
-        # a row with no improving direction is at a stationary point
-        if stuck is not None:
-            done[stuck] = True
+                ks = halvings[k0:k0 + max(1, ladder_rows // len(pending))]
+                k0 += len(ks)
+                trial = (theta[pending, None]
+                         + ks[:, None] * step[pending, None]
+                         ).reshape(-1, theta.shape[1])
+                ev = _evaluate(np.repeat(w[pending], len(ks), axis=0),
+                               trial)
+                ok = (ev[1] >= np.repeat(floor[pending], len(ks))
+                      ).reshape(-1, len(ks))
+                got = ok.any(axis=1)
+                pick = np.flatnonzero(got) * len(ks) + ok[got].argmax(axis=1)
+                cand[pending[got]] = trial[pick]
+                for x, y in zip(cand_state, ev):
+                    x[pending[got]] = y[pick]
+                pending = pending[~got]
+        moved = np.abs(cand - theta) @ scale
+        done = moved < EPS
         theta, state = cand, cand_state
         if record:
             _record(*state[:2])
+        if rank is not None:
+            path += moved
+            if it % _RANK_CHECK == 0:
+                est = theta[:, stop.idx].sum(axis=1)
+                moves = np.vstack([moves[1:], path])
+                path = np.zeros(len(live))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    r = (moves[1:] / moves[:-1]).max(axis=0)
+                    bound = np.where(r < 1, _RANK_SAFETY * moves[-1] * r
+                                     / (1 - r), np.inf)
+                bound[done] = 0.0
+                rows = first + live
+                stop.low[rows], stop.high[rows] = est - bound, est + bound
+                ranked = stop.unread(rows) & ~done
+                stop.stopped[rows[ranked]] = True
+                done |= ranked
+            elif np.count_nonzero(done):
+                rows = first + live[done]
+                stop.low[rows] = stop.high[rows] = \
+                    theta[done][:, stop.idx].sum(axis=1)
         if np.count_nonzero(done):
             fin = live[done]
             out[fin] = theta[done]
@@ -342,11 +444,15 @@ def _em_fit(
             live, w, total = live[keep], w[keep], total[keep]
             theta = theta[keep]
             state = [x[keep] for x in state]
+            if rank is not None:
+                path, moves = path[keep], moves[:, keep]
             if len(live) == 0:
                 break
     # rows that ran out of iterations
     out[live] = theta
     iterations[live] = it
+    if rank is not None:
+        converged &= ~stop.stopped[first:first + n_rows]
     return out[:, :n_v], out[:, n_v:], iterations, converged, traces
 
 
@@ -413,9 +519,11 @@ class ReconstructionResult:
     ci_low: float
     ci_high: float
     resamples: int
-    # each bootstrap resample's EM iteration count and convergence flag
+    # each bootstrap resample's EM iteration count, whether the EM's own
+    # stop ended its fit, and whether the rank stop did
     bootstrap_iterations: np.ndarray
     bootstrap_converged: np.ndarray
+    bootstrap_rank_stopped: np.ndarray
 
     def __post_init__(self):
         if not (self.ci_low <= self.point + 1e-12
@@ -435,7 +543,14 @@ def bootstrap_ci(
     ``model`` is the `em_reconstruct` fit of ``shots``: it gives the point
     estimate, and each resample is fitted with its basis and channel.  The
     interval covers LEVEL of the resample estimates.  The result also
-    carries each resample's EM iteration count and convergence flag.
+    carries each resample's EM iteration count and how its fit ended.
+
+    The interval reads two order statistics of the estimates at each end,
+    so a resample's fit can stop once its estimate, widened by a bound on
+    its remaining movement, cannot be one of them (`_RankStop`, `_em_fit`).
+    If every bound holds the interval is that of fits run to the EM's own
+    stop.  If one fails, the interval still moves by at most that row's
+    remaining movement: order statistics are 1-Lipschitz in the sup norm.
     """
     rng = np.random.default_rng(seed)
     basis, channel = model.basis, model.channel
@@ -443,6 +558,9 @@ def bootstrap_ci(
     uniq, inverse, _ = _shot_histogram(shots, basis)
     n, u = len(inverse), len(uniq)
     L, tables = _em_inputs(uniq, basis, channel)
+    tgt, idx = _target_indices(basis, target)
+    tail = (1.0 - LEVEL) / 2.0
+    stop = _RankStop.reading(idx, resamples, (tail, 1.0 - tail))
     # a resample is a histogram over the same distinct shots, so all of them
     # share one likelihood matrix and are fitted together, in row blocks of
     # bounded size; a block's resamples are drawn a few rows at a time, the
@@ -458,12 +576,10 @@ def bootstrap_ci(
             drawn += u * np.arange(rows)[:, None]
             hist[j:j + rows] = np.bincount(
                 drawn.ravel(), minlength=rows * u).reshape(rows, u)
-        fits.append(_em_fit(hist, L, tables))
+        fits.append(_em_fit(hist, L, tables, (stop, i)))
     phi_v, its, conv = (np.concatenate([f[k] for f in fits])
                         for k in (0, 2, 3))
-    tgt, idx = _target_indices(basis, target)
     estimates = phi_v[:, idx].sum(axis=1)
-    tail = (1.0 - LEVEL) / 2.0
     low = float(np.quantile(estimates, tail))
     high = float(np.quantile(estimates, 1.0 - tail))
     # percentile intervals from finite resamples may not bracket the full-data
@@ -471,7 +587,8 @@ def bootstrap_ci(
     return ReconstructionResult(
         model=model, target=tgt, point=point, ci_low=min(low, point),
         ci_high=max(high, point), resamples=resamples,
-        bootstrap_iterations=its, bootstrap_converged=conv)
+        bootstrap_iterations=its, bootstrap_converged=conv,
+        bootstrap_rank_stopped=stop.stopped)
 
 
 def reconstruct_with_ci(

@@ -136,8 +136,12 @@ def test_schedule_file_rejects_bad_ring_or_target(tmp_path, command, ring,
     {"tau0": float("nan")},          # written as the JSON literal NaN
     {"tau0": "nan"},
     {"layers": [["inf", 0.5]]},
+    {"tau0": 1e308},                 # its phases tau * N overflow
+    {"layers": [[0.5, 1e308]]},
+    {"layers": [[1e308, 0.5]]},
 ], ids=["ring", "tau0", "negative-tau0", "short-layer", "layers", "phasor",
-        "nan-literal", "nan-tau0", "inf-phase"])
+        "nan-literal", "nan-tau0", "inf-phase", "tau0-phase-overflow",
+        "tau-phase-overflow", "phasor-overflow"])
 def test_schedule_file_rejects_bad_fields(tmp_path, field):
     sched = _make_schedule(tmp_path)
     body = json.loads(sched.read_text())
@@ -190,11 +194,21 @@ def _bounds_case_args(tmp_path, command):
     ("prep-product", ["--tau0", "0.5"]),    # --tau0 needs --tau1
     ("prep-bracelet", ["--tau-max", "nan"]),
     ("quench", ["--tau-max", "-1"]),
+    # more than cli.MAX_TAU_POINTS walk times
+    ("quench", ["--tau-max", "1e6", "--dtau", "1e-6"]),
+    ("prep-bracelet", ["--tau-max", "1e6", "--dtau", "1e-6"]),
+    # walk times whose phases tau * N overflow
+    ("prep-product", ["--tau0", "1e308", "--tau1", "1e308"]),
+    ("prep-product", ["--tau0", "0.5", "--tau1", "1e308"]),
+    ("quench", ["--tau-max", "1e308", "--dtau", "1e307"]),
+    ("prep-bracelet", ["--tau-max", "1e308", "--dtau", "1e307"]),
 ], ids=["depth", "bracelet-dtau", "quench-dtau", "shots", "emulate-p00",
         "emulate-p11", "mitigate-p00", "mitigate-p11", "resamples",
         "max-step", "compile-scale", "emulate-scale", "scale-inf",
         "emulate-seed", "mitigate-seed", "run-seed", "workers", "tau0",
-        "tau0-alone", "bracelet-tau-max", "quench-tau-max"])
+        "tau0-alone", "bracelet-tau-max", "quench-tau-max", "quench-grid",
+        "bracelet-grid", "tau0-phase", "tau1-phase", "quench-phase",
+        "bracelet-phase"])
 def test_bad_flag_exits_one(tmp_path, command, flags):
     # flags are checked like config fields: exit 1 and no output written
     args = _bounds_case_args(tmp_path, command)
@@ -363,10 +377,15 @@ def test_run_manifest_records_emulation_diagnostics(tmp_path, monkeypatch):
     assert inst["em_converged"] is True
     (rec,) = results
     its, conv = rec.bootstrap_iterations, rec.bootstrap_converged
-    assert len(its) == len(conv) == rec.resamples == 200
+    ranked = rec.bootstrap_rank_stopped
+    assert len(its) == len(conv) == len(ranked) == rec.resamples == 200
     assert inst["em_bootstrap_iterations_median"] == float(np.median(its))
     assert inst["em_bootstrap_iterations_max"] == int(its.max()) > 0
     assert inst["em_bootstrap_converged_fraction"] == float(conv.mean()) > 0
+    # a resample's fit ends on the EM's own stop or on the rank stop
+    assert inst["em_bootstrap_rank_stopped_fraction"] \
+        == float(ranked.mean()) > 0
+    assert not (conv & ranked).any()
 
     # a failing stage is named, and the stages before it keep their times
     def broken(*args, **kwargs):

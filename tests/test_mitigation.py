@@ -181,6 +181,55 @@ def test_batched_fit_matches_one_fit_per_resample(monkeypatch):
             assert np.allclose(traces[r][1], one.objective, rtol=1e-12, atol=0)
 
 
+def test_halving_ladder_chunks_pick_the_first_accepted_step(monkeypatch):
+    # the rejected rows' multiples 2^-1 ... 2^-39 are evaluated in chunks
+    # of at most _EM_BLOCK_ELEMENTS trial rows; one multiple per chunk is
+    # the plain halving loop, and every chunking takes the same steps
+    basis = _basis(6)
+    ch = mt.ReadoutChannel(0.95, 0.9)
+    probs = np.random.default_rng(4).dirichlet(np.ones(len(basis)) * 0.3)
+    shots = _shots_from_probs(basis, probs, 400, ch, seed=4)
+    arr = np.asarray(shots.shots, dtype=np.uint64)
+    uniq, _, _ = mt._shot_histogram(shots, basis)
+    L, tables = mt._em_inputs(uniq, basis, ch)
+    rng = np.random.default_rng(5)
+    hist = np.stack([np.bincount(
+        np.searchsorted(uniq, rng.choice(arr, size=len(arr))),
+        minlength=len(uniq)) for _ in range(12)])
+    fits = []
+    for rows in (1, 7, 12 * 39):
+        monkeypatch.setattr(mt, "_EM_BLOCK_ELEMENTS",
+                            rows * (len(uniq) + len(basis)))
+        fits.append(mt._em_fit(hist, L, tables, record=True))
+    for phi_v, phi_perp, its, conv, traces in fits[1:]:
+        assert np.array_equal(its, fits[0][2])
+        assert np.array_equal(conv, fits[0][3])
+        assert np.allclose(phi_v, fits[0][0], rtol=0, atol=1e-12)
+        for trace, ref in zip(traces, fits[0][4]):
+            assert np.allclose(trace[1], ref[1], rtol=1e-12, atol=0)
+
+
+def test_bootstrap_rank_stop_across_row_blocks(monkeypatch):
+    # rows of blocks not fitted yet count as unbounded, so a bootstrap
+    # fitted in row blocks reads the interval of one fitted whole
+    basis = _basis(5)
+    ch = mt.LOCAL_DETUNING_CHANNEL
+    z = ss.str_to_bits(ss.half_target(5))
+    probs = 0.8 * np.random.default_rng(6).dirichlet(np.ones(len(basis)))
+    probs[basis.index_of(z)] += 0.2
+    shots = _shots_from_probs(basis, probs, 1000, ch, seed=6)
+    model = mt.em_reconstruct(shots, basis, ch)
+    whole = mt.bootstrap_ci(shots, model, z, resamples=150, seed=6)
+    uniq, _, _ = mt._shot_histogram(shots, basis)
+    monkeypatch.setattr(mt, "_EM_BLOCK_ELEMENTS",
+                        40 * (len(uniq) + len(basis)))
+    blocks = mt.bootstrap_ci(shots, model, z, resamples=150, seed=6)
+    assert blocks.ci_low == pytest.approx(whole.ci_low, abs=1e-9)
+    assert blocks.ci_high == pytest.approx(whole.ci_high, abs=1e-9)
+    assert blocks.bootstrap_rank_stopped[:40].any()
+    assert blocks.bootstrap_rank_stopped[40:].any()
+
+
 def test_reconstruction_beats_raw_frequency():
     # with an asymmetric channel the EM estimate should sit closer to the
     # truth than the uncorrected empirical frequency
@@ -252,14 +301,65 @@ def test_bootstrap_ci_fits_resamples_with_model_settings():
             basis, ch)
         for _ in range(20)]
     estimates = [fit.target_probability(z) for fit in fits]
-    # the result carries each resample's iteration count and convergence
-    assert res.bootstrap_iterations.tolist() == [f.iterations for f in fits]
-    assert res.bootstrap_converged.tolist() == [f.converged for f in fits]
+    # the result carries each resample's iteration count and how its fit
+    # ended: the rank stop ends some fits early, the others end as
+    # em_reconstruct's do
+    kept = ~res.bootstrap_rank_stopped
+    assert kept.any() and not kept.all()
+    assert not res.bootstrap_converged[~kept].any()
+    assert (res.bootstrap_iterations[kept].tolist()
+            == [f.iterations for f, k in zip(fits, kept) if k])
+    assert (res.bootstrap_converged[kept].tolist()
+            == [f.converged for f, k in zip(fits, kept) if k])
     assert point == model.target_probability(z)
     assert low == pytest.approx(min(np.quantile(estimates, 0.025), point),
                                 abs=1e-10)
     assert high == pytest.approx(max(np.quantile(estimates, 0.975), point),
                                  abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("channel", [mt.STANDARD_CHANNEL,
+                                     mt.LOCAL_DETUNING_CHANNEL],
+                         ids=["standard", "local-detuning"])
+def test_bootstrap_rank_stop_matches_full_fits(n, channel):
+    # the rank stop ends a resample's fit only where the interval cannot
+    # read its estimate: the interval is the one of the same resamples
+    # fitted to the EM's own stop, and the fits it does not end are those.
+    # A fit's iteration count can depend on the rows it shares numpy calls
+    # with (BLAS products round by call shape, and the step acceptance
+    # floor is at rounding level), so one kept row may stop at another
+    # iteration
+    basis = _basis(n)
+    z = ss.str_to_bits(ss.half_target(n))
+    rng = np.random.default_rng(n)
+    idx = basis.index_of(z)
+    probs = 0.8 * rng.dirichlet(np.ones(len(basis)) * 0.4)
+    probs[idx] += 0.2
+    shots = _shots_from_probs(basis, probs, 1000, channel, seed=n)
+    model = mt.em_reconstruct(shots, basis, channel)
+    arr = np.asarray(shots.shots, dtype=np.uint64)
+    uniq, _, _ = mt._shot_histogram(shots, basis)
+    L, tables = mt._em_inputs(uniq, basis, channel)
+    # a bootstrap of R resamples with seed n draws the first R of these
+    draw = np.random.default_rng(n)
+    hist = np.stack([np.bincount(
+        np.searchsorted(uniq, draw.choice(arr, size=len(arr))),
+        minlength=len(uniq)) for _ in range(200)])
+    phi_v, _, its, conv, _ = mt._em_fit(hist, L, tables)
+    stopped = 0
+    for resamples in (20, 150, 200):
+        res = mt.bootstrap_ci(shots, model, z, resamples=resamples, seed=n)
+        low, high = np.quantile(phi_v[:resamples, idx], [0.025, 0.975])
+        assert res.ci_low == pytest.approx(min(low, res.point), abs=1e-9)
+        assert res.ci_high == pytest.approx(max(high, res.point), abs=1e-9)
+        kept = ~res.bootstrap_rank_stopped
+        assert np.count_nonzero(res.bootstrap_iterations[kept]
+                                != its[:resamples][kept]) <= 1
+        assert np.array_equal(res.bootstrap_converged,
+                              kept & conv[:resamples])
+        stopped += np.count_nonzero(~kept)
+    assert stopped > 0
 
 
 @pytest.mark.parametrize("n_shots", [37, 1001])
